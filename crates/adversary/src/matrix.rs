@@ -10,7 +10,7 @@
 //!
 //! Each cell derives its own RNG seed from the master seed and the pair's
 //! *names* (not its index), so cells are independent of evaluation order and
-//! can run in parallel (`dagsched-bench`'s `par::parallel_map` does exactly
+//! can run in parallel (`dagsched_ws::parallel_map` does exactly
 //! that) while staying byte-deterministic.
 
 use crate::search::{search, Budget, Reference, SearchResult};

@@ -4,9 +4,8 @@
 //! BU fastest / DLS-APN slowest in APN.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dagsched_bench::baseline::DscBaseline;
 use dagsched_bench::Config;
-use dagsched_core::{registry, AlgoClass, Env, Scheduler};
+use dagsched_core::{registry, AlgoClass, Env};
 use dagsched_suites::rgnos::{self, RgnosParams};
 use std::hint::black_box;
 
@@ -47,50 +46,5 @@ fn algo_runtimes(c: &mut Criterion) {
     }
 }
 
-/// The PR's acceptance measurement: refactored DSC vs the retained
-/// pre-refactor implementation on a 1000-node CCR=1.0 RGNOS graph. The
-/// schedules are asserted identical before timing; `perf_baseline` records
-/// the same comparison into `BENCH_RESULTS.json`.
-fn dsc_speedup(c: &mut Criterion) {
-    let g = rgnos::generate(RgnosParams::new(1000, 1.0, 3, 42));
-    let env = Env::bnp(1); // UNC algorithms ignore the environment
-    let dsc = registry::by_name("DSC").unwrap();
-    let base = DscBaseline.schedule(&g, &env).unwrap();
-    let new = dsc.schedule(&g, &env).unwrap();
-    assert_eq!(
-        base.schedule.makespan(),
-        new.schedule.makespan(),
-        "behavior changed"
-    );
-
-    let mut group = c.benchmark_group("dsc_speedup");
-    group
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(400))
-        .measurement_time(std::time::Duration::from_secs(3));
-    group.bench_with_input(BenchmarkId::new("baseline", 1000), &g, |b, g| {
-        b.iter(|| {
-            black_box(
-                DscBaseline
-                    .schedule(black_box(g), &env)
-                    .unwrap()
-                    .schedule
-                    .makespan(),
-            )
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("refactored", 1000), &g, |b, g| {
-        b.iter(|| {
-            black_box(
-                dsc.schedule(black_box(g), &env)
-                    .unwrap()
-                    .schedule
-                    .makespan(),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, algo_runtimes, dsc_speedup);
+criterion_group!(benches, algo_runtimes);
 criterion_main!(benches);

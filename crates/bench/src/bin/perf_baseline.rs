@@ -2,69 +2,46 @@
 #![allow(clippy::print_stdout)]
 //! Records the workspace perf baseline into `BENCH_RESULTS.json`.
 //!
-//! Eight sections, all deterministic given the seed:
+//! Six sections, all deterministic given the seed:
 //!
-//! 1. **dsc_speedup** — the refactored DSC against the retained
-//!    pre-refactor implementation ([`dagsched_bench::baseline`]) on
-//!    1000-node CCR=1.0 RGNOS graphs; asserts byte-identical placements
-//!    and a ≥5× speedup (PR 1's acceptance bar).
-//! 2. **dsc_incremental_speedup** — the indexed-heap DSC engine against
-//!    the retained scan version
-//!    ([`dagsched_bench::baseline::DscScanBaseline`]: clone-free DSRW but
-//!    O(v + e) partially-free rescans per step) on paper-scale 5000-node
-//!    RGNOS graphs; asserts placement-identical schedules and a ≥2×
-//!    speedup on the headline v=5000 instance (PR 4's acceptance bar).
-//! 3. **md_incremental_speedup** / **dcp_incremental_speedup** — the
-//!    [`DynLevelsEngine`](dagsched_core::common::DynLevelsEngine)-driven
-//!    MD and DCP against the retained per-placement-rescan versions
-//!    ([`dagsched_bench::baseline::MdScan`] /
-//!    [`dagsched_bench::baseline::DcpScan`]) on paper-scale 2000-node
-//!    RGNOS graphs; asserts placement-identical schedules and a ≥3×
-//!    speedup on each headline v=2000 instance (PR 5's acceptance bar).
-//! 4. **bsa_speedup** — the journal-driven incremental BSA against the
-//!    retained replay-per-candidate baseline over the old message layer
-//!    ([`dagsched_bench::baseline::BsaBaseline`]) on the paper-scale APN
-//!    instance (500-node RGNOS on the 8-processor hypercube, §6.4);
-//!    asserts placement- and message-identical schedules and a ≥5×
-//!    speedup on the headline CCR=0.1 instance (PR 3's acceptance bar),
-//!    with CCR 1.0 and 10.0 rows recorded alongside.
-//! 5. **algo_runtimes** — seconds per run for every registered algorithm
+//! 1. **oracle_equivalence** — every incrementally optimized algorithm
+//!    against its family's reference oracle ([`dagsched_bench::baseline`]):
+//!    DSC vs `DscScanBaseline`, MD/DCP vs `MdScan`/`DcpScan`, BSA vs
+//!    `BsaBaseline` on the paper's 8-processor hypercube, and the six
+//!    composed BNP presets vs the `baseline::bnp` monoliths. Each oracle
+//!    runs once; production is timed as the median of 3 runs. Asserts
+//!    placement identity on every instance (for BSA also message
+//!    identity) and an absolute seconds budget on each headline instance
+//!    (see [`BUDGETS`]).
+//! 2. **algo_runtimes** — seconds per run for every registered algorithm
 //!    on RGNOS graphs of growing size (APN capped small: message routing
 //!    is still the slowest class per run). Timing is single-threaded.
-//! 6. **runner_scaling** — wall-clock of the same (algorithm × graph)
-//!    sweep through the work-stealing runner with 1 worker vs all cores
-//!    (warmup pass, then median of 3 timed passes per leg); asserts a
-//!    ≥1.5× speedup when the host has ≥4 cores (PR 6's acceptance bar —
-//!    smaller hosts run the determinism check but are exempt and
-//!    flagged).
-//! 7. **bnb_parallel_speedup** — the parallel branch-and-bound against
+//! 3. **runner_scaling** — wall-clock of the same (algorithm × graph)
+//!    sweep through the work-stealing runner with 1 worker vs
+//!    `worker_count()` (at least 2) workers (warmup pass, then median of 3
+//!    timed passes per leg); asserts identical results, and a ≥1.5×
+//!    speedup when ≥4 workers run (smaller runs are exempt and flagged).
+//!    `host_cores` records `available_parallelism()`, independent of
+//!    `TASKBENCH_THREADS`.
+//! 4. **bnb_parallel_speedup** — the parallel branch-and-bound against
 //!    its own serial path on proving RGNOS instances (same warmup +
 //!    median-of-3 protocol); asserts makespan equality and both sides
-//!    proven, records the serial node/prune counters, and gates ≥1.5×
-//!    on ≥4 workers (serial fallback exempt; PR 6's second bar).
-//! 8. **trace_overhead** — the zero-cost-tracing gate: the instrumented
-//!    hot paths under the disabled [`dagsched_obs::NullSink`] against the
-//!    retained pre-instrumentation copies
-//!    ([`dagsched_bench::preobs`]) on the 5000-node DSC headline
-//!    instance and the branch-and-bound headline instance; asserts
-//!    placement/counter identity and an interleaved median-of-N time
-//!    ratio ≤ [`TRACE_OVERHEAD_MAX_RATIO`] (multi-run samples, warmup,
-//!    best of up to [`TRACE_OVERHEAD_ATTEMPTS`] attempts — 2% sits
-//!    inside scheduler noise on a busy host).
-//! 9. **paper_sweep_budget** — wall-clock of the full Table-6 replication
+//!    proven, pins the serial node/prune counters of the v=24 headline
+//!    instance, and gates ≥1.5× on ≥4 workers (serial fallback exempt).
+//! 5. **paper_sweep_budget** — wall-clock of the full Table-6 replication
 //!    (all fifteen algorithms, serial, honest per-run timings) under an
 //!    asserted ceiling: the quick CI-sized sweep must stay under
 //!    [`QUICK_SWEEP_BUDGET_S`], and with `TASKBENCH_FULL=1` the
 //!    paper-scale sweep (10 sizes × 25 (CCR, parallelism) points) must
 //!    stay under [`FULL_SWEEP_BUDGET_S`] — the regression tripwire that
 //!    keeps the whole replication runnable.
-//! 10. **serve_throughput** — an in-process `dagsched-serve` daemon
-//!     replaying the RGNOS loadgen suite with verification on: gates that
-//!     every served schedule is byte-identical to in-process scheduling
-//!     (`errors == 0`) and that the repeated suite hits the schedule
-//!     cache (`cache_hit_rate > 0`). Throughput and p50/p95/p99 latency
-//!     are recorded but never gated — wall-clock serving numbers are
-//!     indicative only.
+//! 6. **serve_throughput** — an in-process `dagsched-serve` daemon
+//!    replaying the RGNOS loadgen suite with verification on: gates that
+//!    every served schedule is byte-identical to in-process scheduling
+//!    (`errors == 0`) and that the repeated suite hits the schedule
+//!    cache (`cache_hit_rate > 0`). Throughput and p50/p95/p99 latency
+//!    are recorded but never gated — wall-clock serving numbers are
+//!    indicative only.
 //!
 //! Output path: `TASKBENCH_BENCH_OUT` or `<workspace>/BENCH_RESULTS.json`.
 //! Additionally, one summary record per run is *appended* to
@@ -74,36 +51,48 @@
 //! not comparable.
 
 use dagsched_bench::baseline::bnp::{DlsMono, EtfMono, HlfetMono, IshMono, LastMono, McpMono};
-use dagsched_bench::baseline::{BsaBaseline, DcpScan, DscBaseline, DscScanBaseline, MdScan};
-use dagsched_bench::par;
-use dagsched_bench::preobs;
+use dagsched_bench::baseline::{BsaBaseline, DcpScan, DscScanBaseline, MdScan};
 use dagsched_bench::report::Json;
-use dagsched_core::{registry, AlgoClass, Env, Scheduler};
+use dagsched_core::{registry, AlgoClass, Env, Outcome, Scheduler};
+use dagsched_graph::TaskGraph;
 use dagsched_optimal::{solve, OptimalParams};
 use dagsched_suites::rgnos::{self, RgnosParams};
+use dagsched_ws::{parallel_map_with, worker_count};
 use std::time::Instant;
 
-/// Ceiling on instrumented-over-preobs time with tracing disabled: the
-/// observability PR's acceptance bar (≤2%).
-const TRACE_OVERHEAD_MAX_RATIO: f64 = 1.02;
-/// Re-measurement attempts before the overhead gate fails; the best
-/// (lowest) attempt ratio is the one gated and recorded.
-const TRACE_OVERHEAD_ATTEMPTS: usize = 4;
+/// Absolute seconds budgets for production on each headline instance
+/// `(algorithm, nodes, ccr, seed, budget_s)`. Each budget is the median
+/// time (7 runs) of the retired frozen copy that the old speedup gate
+/// compared against, divided by that gate's ratio bar, measured on a
+/// 2-vCPU Intel Xeon host:
+///
+/// * DSC v=1000: pre-heap clone-per-guard DSC 0.03844 s ÷ 5;
+/// * DSC v=5000: `DscScanBaseline` 0.18510 s ÷ 2;
+/// * MD v=2000: `MdScan` 1.07842 s ÷ 3;
+/// * DCP v=2000: `DcpScan` 1.22072 s ÷ 3;
+/// * BSA v=500 CCR 0.1: replay-per-candidate BSA over the pre-slab
+///   message layer 2.52995 s ÷ 5.
+const BUDGETS: [(&str, usize, f64, u64, f64); 5] = [
+    ("DSC", 1000, 1.0, 42, 0.03844 / 5.0),
+    ("DSC", 5000, 1.0, 42, 0.18510 / 2.0),
+    ("MD", 2000, 1.0, 42, 1.07842 / 3.0),
+    ("DCP", 2000, 1.0, 42, 1.22072 / 3.0),
+    ("BSA", 500, 0.1, 42, 2.52995 / 5.0),
+];
+
+/// Serial branch-and-bound `(length, nodes_expanded, pruned)` on the
+/// `bnb_parallel_speedup` headline instance (RGNOS v=24, CCR 1.0, par 3,
+/// seed 42, 4 processors). The serial search is deterministic, so any
+/// change here is a change in search decisions or in counter bookkeeping.
+const BNB_V24_SERIAL: (u64, u64, u64) = (254, 138_097, 107_902);
 
 /// Wall-clock ceiling for the quick (CI-sized) Table-6 replication sweep.
 const QUICK_SWEEP_BUDGET_S: f64 = 120.0;
 /// Wall-clock ceiling for the `TASKBENCH_FULL=1` paper-scale Table-6 sweep.
 const FULL_SWEEP_BUDGET_S: f64 = 900.0;
 
-/// Best-of-`reps` wall time of `algo`, with the outcome of the last rep
-/// (so equivalence checks can reuse a timed run instead of paying an
-/// extra one).
-fn time_schedule(
-    reps: usize,
-    algo: &dyn Scheduler,
-    g: &dagsched_graph::TaskGraph,
-    env: &Env,
-) -> (f64, dagsched_core::Outcome) {
+/// Best-of-`reps` wall time of `algo`, with the outcome of the last rep.
+fn time_schedule(reps: usize, algo: &dyn Scheduler, g: &TaskGraph, env: &Env) -> (f64, Outcome) {
     let mut best = f64::INFINITY;
     let mut outcome = None;
     for _ in 0..reps {
@@ -115,164 +104,190 @@ fn time_schedule(
     (best, outcome.expect("reps >= 1"))
 }
 
-fn dsc_speedup_section() -> Json {
-    let dsc = registry::by_name("DSC").unwrap();
-    let env = Env::bnp(1); // UNC algorithms ignore the environment
-    let mut rows = Vec::new();
-    let mut headline = 0.0;
-    for &(v, seed) in &[(500usize, 42u64), (1000, 42), (1000, 43)] {
-        let g = rgnos::generate(RgnosParams::new(v, 1.0, 3, seed));
-        let reps = 3;
-        let (base_s, base_out) = time_schedule(reps, &DscBaseline, &g, &env);
-        let (new_s, new_out) = time_schedule(reps, dsc.as_ref(), &g, &env);
-        let (base_m, new_m) = (base_out.schedule.makespan(), new_out.schedule.makespan());
-        assert_eq!(
-            base_m, new_m,
-            "refactored DSC changed the makespan on v={v} seed={seed}"
-        );
-        let speedup = base_s / new_s;
-        if v == 1000 && seed == 42 {
-            headline = speedup;
-        }
-        println!(
-            "DSC v={v} seed={seed}: baseline {base_s:.4}s vs refactored {new_s:.4}s \
-             → {speedup:.1}x (makespan {new_m})"
-        );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(v as i64)),
-            ("ccr", Json::Num(1.0)),
-            ("seed", Json::Int(seed as i64)),
-            ("baseline_s", Json::Num(base_s)),
-            ("refactored_s", Json::Num(new_s)),
-            ("speedup", Json::Num(speedup)),
-            ("makespan", Json::Int(new_m as i64)),
-        ]));
+/// Median wall time of three timed passes of `f`, after one untimed
+/// warmup pass (page-faults, branch predictors and allocator pools paid
+/// for up front — the median then resists one-off scheduling noise that
+/// best-of-N would hide and mean-of-N would absorb).
+fn median_of_3<R>(mut f: impl FnMut() -> R) -> (f64, R) {
+    let mut out = f(); // warmup
+    let mut times = [0.0f64; 3];
+    for t in &mut times {
+        let t0 = Instant::now();
+        out = f();
+        *t = t0.elapsed().as_secs_f64();
     }
-    assert!(
-        headline >= 5.0,
-        "acceptance bar: DSC must be ≥5x faster on the 1000-node CCR=1.0 instance, got {headline:.1}x"
-    );
-    Json::obj([
-        ("headline_speedup_v1000", Json::Num(headline)),
-        ("instances", Json::Arr(rows)),
-    ])
+    times.sort_by(f64::total_cmp);
+    (times[1], out)
 }
 
-/// Shared driver for the incremental-vs-rescan speedup sections (DSC's
-/// heap engine, MD/DCP's dynamic-levels engine): time the engine-driven
-/// scheduler against its retained rescan baseline, assert
-/// placement-identical schedules (reusing the timed outcomes — no extra
-/// runs), and gate the speedup on the `(headline_v, 42)` instance.
-fn incremental_speedup_section(
-    name: &str,
-    scan: &dyn Scheduler,
-    instances: &[(usize, u64)],
-    headline_v: usize,
-    bar: f64,
-) -> Json {
-    let algo = registry::by_name(name).unwrap();
-    let env = Env::bnp(1); // UNC algorithms ignore the environment
-    let mut rows = Vec::new();
-    let mut headline = 0.0;
-    for &(v, seed) in instances {
-        let g = rgnos::generate(RgnosParams::new(v, 1.0, 3, seed));
-        let reps = 3;
-        let (base_s, base_out) = time_schedule(reps, scan, &g, &env);
-        let (new_s, new_out) = time_schedule(reps, algo.as_ref(), &g, &env);
-        // Placement-identical schedules, not just equal makespans.
-        for n in g.tasks() {
-            assert_eq!(
-                base_out.schedule.placement(n),
-                new_out.schedule.placement(n),
-                "incremental {name} placement diverged on v={v} seed={seed} task {n}"
-            );
-        }
-        let makespan = new_out.schedule.makespan();
-        let speedup = base_s / new_s;
-        if v == headline_v && seed == 42 {
-            headline = speedup;
-        }
-        println!(
-            "{name}-incremental v={v} seed={seed}: rescan {base_s:.4}s vs engine {new_s:.4}s \
-             → {speedup:.1}x (makespan {makespan})"
-        );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(v as i64)),
-            ("ccr", Json::Num(1.0)),
-            ("seed", Json::Int(seed as i64)),
-            ("rescan_s", Json::Num(base_s)),
-            ("incremental_s", Json::Num(new_s)),
-            ("speedup", Json::Num(speedup)),
-            ("makespan", Json::Int(makespan as i64)),
-        ]));
-    }
-    assert!(
-        headline >= bar,
-        "acceptance bar: incremental {name} must be ≥{bar}x faster than the \
-         retained rescan baseline on the {headline_v}-node RGNOS instance, \
-         got {headline:.1}x"
-    );
-    Json::Obj(vec![
+/// One family's equivalence check: `production` against its reference
+/// `oracle` on RGNOS `(nodes, ccr, seed)` instances at parallelism 3.
+struct Family {
+    production: Box<dyn Scheduler>,
+    oracle: Box<dyn Scheduler>,
+    env: Env,
+    instances: Vec<(usize, f64, u64)>,
+}
+
+/// The families [`oracle_equivalence_section`] checks, with today's
+/// instance lists: the incremental UNC engines and BSA at paper scale, and
+/// the composed BNP presets at v ∈ {100, 300} × three CCRs × three seeds.
+fn families() -> Vec<Family> {
+    let unc = Env::bnp(1); // UNC algorithms ignore the environment
+    let prod = |name: &str| registry::by_name(name).expect("registered");
+    let ccr1 = |list: &[(usize, u64)]| list.iter().map(|&(v, s)| (v, 1.0, s)).collect();
+    let mut out = vec![
+        Family {
+            production: prod("DSC"),
+            oracle: Box::new(DscScanBaseline),
+            env: unc.clone(),
+            instances: ccr1(&[
+                (500, 42),
+                (1000, 42),
+                (1000, 43),
+                (2000, 42),
+                (5000, 42),
+                (5000, 43),
+            ]),
+        },
+        Family {
+            production: prod("MD"),
+            oracle: Box::new(MdScan),
+            env: unc.clone(),
+            instances: ccr1(&[(1000, 42), (2000, 42), (2000, 43)]),
+        },
+        Family {
+            production: prod("DCP"),
+            oracle: Box::new(DcpScan),
+            env: unc,
+            instances: ccr1(&[(1000, 42), (2000, 42), (2000, 43)]),
+        },
+        Family {
+            production: prod("BSA"),
+            oracle: Box::new(BsaBaseline),
+            env: Env::apn(dagsched_bench::Config::quick(0x1998).apn_topology()),
+            instances: vec![(500, 0.1, 42), (500, 1.0, 42), (500, 10.0, 42)],
+        },
+    ];
+    let presets: [(Box<dyn Scheduler>, Box<dyn Scheduler>); 6] = [
+        (Box::new(dagsched_core::bnp::hlfet()), Box::new(HlfetMono)),
+        (Box::new(dagsched_core::bnp::ish()), Box::new(IshMono)),
         (
-            format!("headline_speedup_v{headline_v}"),
-            Json::Num(headline),
+            Box::new(dagsched_core::bnp::mcp()),
+            Box::new(McpMono::default()),
         ),
-        ("instances".to_string(), Json::Arr(rows)),
-    ])
+        (Box::new(dagsched_core::bnp::etf()), Box::new(EtfMono)),
+        (Box::new(dagsched_core::bnp::dls()), Box::new(DlsMono)),
+        (Box::new(dagsched_core::bnp::last()), Box::new(LastMono)),
+    ];
+    let bnp_instances: Vec<(usize, f64, u64)> = [100usize, 300]
+        .iter()
+        .flat_map(|&v| {
+            [0.1f64, 1.0, 10.0]
+                .iter()
+                .flat_map(move |&ccr| (0..3u64).map(move |seed| (v, ccr, seed)))
+        })
+        .collect();
+    for (production, oracle) in presets {
+        out.push(Family {
+            production,
+            oracle,
+            env: Env::bnp(8),
+            instances: bnp_instances.clone(),
+        });
+    }
+    out
 }
 
-fn bsa_speedup_section() -> Json {
-    let bsa = registry::by_name("BSA").unwrap();
-    let topo = dagsched_bench::Config::quick(0x1998).apn_topology();
-    let env = Env::apn(topo);
-    let mut rows = Vec::new();
-    let mut headline = 0.0;
-    for &ccr in &[0.1f64, 1.0, 10.0] {
-        let g = rgnos::generate(RgnosParams::new(500, ccr, 3, 42));
-        let reps = 3;
-        let (base_s, a) = time_schedule(reps, &BsaBaseline, &g, &env);
-        let (new_s, b) = time_schedule(reps, bsa.as_ref(), &g, &env);
-        let new_m = b.schedule.makespan();
-        // Byte-identical schedules: placements AND committed messages
-        // (reusing the timed outcomes — no extra runs).
-        for n in g.tasks() {
-            assert_eq!(
-                a.schedule.placement(n),
-                b.schedule.placement(n),
-                "BSA placement diverged on ccr={ccr} task {n}"
-            );
-        }
-        let msgs = |o: &dagsched_core::Outcome| {
-            let mut m: Vec<_> = o.network.as_ref().unwrap().messages().cloned().collect();
+/// Placement identity of two outcomes, plus message identity when they
+/// carry a network (APN).
+fn assert_identical(f: &Family, g: &TaskGraph, a: &Outcome, b: &Outcome, at: &str) {
+    let name = f.production.name();
+    for n in g.tasks() {
+        assert_eq!(
+            a.schedule.placement(n),
+            b.schedule.placement(n),
+            "{name} placement diverged from {} on {at} task {n}",
+            f.oracle.name()
+        );
+    }
+    let msgs = |o: &Outcome| {
+        o.network.as_ref().map(|net| {
+            let mut m: Vec<_> = net.messages().cloned().collect();
             m.sort_by_key(|m| (m.src_task, m.dst_task));
             m
-        };
-        assert_eq!(msgs(&a), msgs(&b), "BSA messages diverged on ccr={ccr}");
-        let speedup = base_s / new_s;
-        if ccr == 0.1 {
-            headline = speedup;
+        })
+    };
+    assert_eq!(msgs(a), msgs(b), "{name} messages diverged on {at}");
+}
+
+/// Production against each family's reference oracle, table-driven: one
+/// oracle run per instance, production timed as the median of 3 runs,
+/// placement (and APN message) identity asserted everywhere, and every
+/// [`BUDGETS`] headline held to its absolute seconds budget.
+fn oracle_equivalence_section() -> Json {
+    let mut rows = Vec::new();
+    let mut budgets = Vec::new();
+    for f in families() {
+        let name = f.production.name();
+        for &(v, ccr, seed) in &f.instances {
+            let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
+            let oracle = f.oracle.schedule(&g, &f.env).expect("oracle schedules");
+            let (secs, out) = median_of_3(|| f.production.schedule(&g, &f.env).expect("schedules"));
+            let at = format!("v={v} ccr={ccr} seed={seed}");
+            assert_identical(&f, &g, &oracle, &out, &at);
+            let makespan = out.schedule.makespan();
+            let budget = BUDGETS
+                .iter()
+                .find(|&&(b, bv, bc, bs, _)| b == name && bv == v && bc == ccr && bs == seed)
+                .map(|b| b.4);
+            if let Some(budget_s) = budget {
+                println!(
+                    "{name} {at}: identical to {}; {secs:.4}s \
+                     (budget {budget_s:.4}s, makespan {makespan})",
+                    f.oracle.name()
+                );
+                assert!(
+                    secs <= budget_s,
+                    "{name} on the {at} headline took {secs:.4}s, over its {budget_s:.4}s budget"
+                );
+                budgets.push(Json::obj([
+                    ("algo", Json::str(name)),
+                    ("nodes", Json::Int(v as i64)),
+                    ("ccr", Json::Num(ccr)),
+                    ("seed", Json::Int(seed as i64)),
+                    ("seconds", Json::Num(secs)),
+                    ("budget_s", Json::Num(budget_s)),
+                ]));
+            }
+            rows.push(Json::obj([
+                ("algo", Json::str(name)),
+                ("oracle", Json::str(f.oracle.name())),
+                ("nodes", Json::Int(v as i64)),
+                ("ccr", Json::Num(ccr)),
+                ("seed", Json::Int(seed as i64)),
+                ("seconds", Json::Num(secs)),
+                ("makespan", Json::Int(makespan as i64)),
+            ]));
         }
-        println!(
-            "BSA v=500 ccr={ccr}: baseline {base_s:.4}s vs incremental {new_s:.4}s \
-             → {speedup:.1}x (makespan {new_m})"
-        );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(500)),
-            ("ccr", Json::Num(ccr)),
-            ("seed", Json::Int(42)),
-            ("baseline_s", Json::Num(base_s)),
-            ("incremental_s", Json::Num(new_s)),
-            ("speedup", Json::Num(speedup)),
-            ("makespan", Json::Int(new_m as i64)),
-        ]));
     }
-    assert!(
-        headline >= 5.0,
-        "acceptance bar: BSA must be ≥5x faster on the 500-node CCR=0.1 APN instance, got {headline:.1}x"
+    assert_eq!(
+        budgets.len(),
+        BUDGETS.len(),
+        "every budget names a checked instance"
+    );
+    let variants_total = registry::enumerate().len();
+    println!(
+        "oracle equivalence: {} instances placement-identical; {variants_total} composed \
+         variants enumerable",
+        rows.len()
     );
     Json::obj([
-        ("headline_speedup_v500_ccr01", Json::Num(headline)),
-        ("instances", Json::Arr(rows)),
+        ("instances", Json::Int(rows.len() as i64)),
+        ("compose_presets_equiv", Json::Bool(true)),
+        ("compose_variants_total", Json::Int(variants_total as i64)),
+        ("budgets", Json::Arr(budgets)),
+        ("rows", Json::Arr(rows)),
     ])
 }
 
@@ -308,20 +323,10 @@ fn algo_runtimes_section() -> Json {
     Json::Arr(rows)
 }
 
-/// Median wall time of three timed passes of `f`, after one untimed
-/// warmup pass (page-faults, branch predictors and allocator pools paid
-/// for up front — the median then resists one-off scheduling noise that
-/// best-of-N would hide and mean-of-N would absorb).
-fn median_of_3<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut out = f(); // warmup
-    let mut times = [0.0f64; 3];
-    for t in &mut times {
-        let t0 = Instant::now();
-        out = f();
-        *t = t0.elapsed().as_secs_f64();
-    }
-    times.sort_by(f64::total_cmp);
-    (times[1], out)
+/// Cores the OS grants this process, independent of `TASKBENCH_THREADS`
+/// (which sets only how many workers run).
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn runner_scaling_section() -> Json {
@@ -344,17 +349,16 @@ fn runner_scaling_section() -> Json {
             .makespan()
     };
 
-    let (serial_s, serial) = median_of_3(|| par::parallel_map_with(1, cells.clone(), run_cell));
-    // On a small host a timing comparison is meaningless (too few cores to
-    // clear the bar); still run the sweep on ≥2 workers so the threaded
-    // path's determinism is exercised, but flag the numbers.
-    let cores = par::worker_count();
-    let workers = cores.max(2);
+    let (serial_s, serial) = median_of_3(|| parallel_map_with(1, cells.clone(), run_cell));
+    // Below 4 workers the speedup bar is exempt; still run the sweep on
+    // ≥2 workers so the threaded path's determinism is exercised, but flag
+    // the numbers.
+    let workers = worker_count().max(2);
     let (parallel_s, parallel) =
-        median_of_3(|| par::parallel_map_with(workers, cells.clone(), run_cell));
+        median_of_3(|| parallel_map_with(workers, cells.clone(), run_cell));
     assert_eq!(serial, parallel, "parallel runner changed results");
     let speedup = serial_s / parallel_s;
-    let meaningful = cores >= 4;
+    let meaningful = workers >= 4;
     println!(
         "runner: {} cells, serial {serial_s:.3}s vs {workers} workers {parallel_s:.3}s \
          → {speedup:.1}x (median of 3 after warmup){}",
@@ -362,19 +366,19 @@ fn runner_scaling_section() -> Json {
         if meaningful {
             ""
         } else {
-            " — <4 cores: determinism check only, speedup bar exempt"
+            " — <4 workers: determinism check only, speedup bar exempt"
         }
     );
     if meaningful {
         assert!(
             speedup >= 1.5,
             "acceptance bar: the work-stealing runner must be ≥1.5x faster than \
-             1 worker on a ≥4-core host, got {speedup:.1}x on {workers} workers"
+             1 worker on ≥4 workers, got {speedup:.1}x on {workers} workers"
         );
     }
     Json::obj([
         ("cells", Json::Int(cells.len() as i64)),
-        ("host_cores", Json::Int(cores as i64)),
+        ("host_cores", Json::Int(host_cores() as i64)),
         ("workers", Json::Int(workers as i64)),
         ("serial_s", Json::Num(serial_s)),
         ("parallel_s", Json::Num(parallel_s)),
@@ -394,9 +398,8 @@ fn bnb_parallel_speedup_section() -> Json {
         (14, 1.0, 4, 7, 4),
         (16, 1.0, 2, 7, 2),
     ];
-    let cores = par::worker_count();
-    let workers = cores.max(2);
-    let meaningful = cores >= 4;
+    let workers = worker_count().max(2);
+    let meaningful = workers >= 4;
     let mut rows = Vec::new();
     let mut total_serial = 0.0f64;
     let mut total_parallel = 0.0f64;
@@ -420,6 +423,18 @@ fn bnb_parallel_speedup_section() -> Json {
             serial.length, parallel.length,
             "parallel B&B optimum diverged on v={v} ccr={ccr} seed={seed}"
         );
+        assert_eq!(
+            serial.pruned,
+            serial.pruned_bound + serial.pruned_duplicate,
+            "prune breakdown must partition the aggregate"
+        );
+        if (v, seed) == (24, 42) {
+            assert_eq!(
+                (serial.length, serial.nodes_expanded, serial.pruned),
+                BNB_V24_SERIAL,
+                "serial B&B (length, nodes_expanded, pruned) drifted on the v=24 headline"
+            );
+        }
         let speedup = serial_s / parallel_s;
         total_serial += serial_s;
         total_parallel += parallel_s;
@@ -450,18 +465,18 @@ fn bnb_parallel_speedup_section() -> Json {
         if meaningful {
             ""
         } else {
-            " — <4 cores: equivalence check only, speedup bar exempt"
+            " — <4 workers: equivalence check only, speedup bar exempt"
         }
     );
     if meaningful {
         assert!(
             speedup >= 1.5,
             "acceptance bar: parallel branch-and-bound must be ≥1.5x faster than \
-             its serial path on a ≥4-core host, got {speedup:.1}x on {workers} workers"
+             its serial path on ≥4 workers, got {speedup:.1}x on {workers} workers"
         );
     }
     Json::obj([
-        ("host_cores", Json::Int(cores as i64)),
+        ("host_cores", Json::Int(host_cores() as i64)),
         ("workers", Json::Int(workers as i64)),
         ("serial_s", Json::Num(total_serial)),
         ("parallel_s", Json::Num(total_parallel)),
@@ -470,224 +485,6 @@ fn bnb_parallel_speedup_section() -> Json {
         ("nodes_expanded", Json::Int(total_nodes as i64)),
         ("pruned", Json::Int(total_pruned as i64)),
         ("instances", Json::Arr(rows)),
-    ])
-}
-
-/// Interleaved median-of-N A/B timing with retries — the same warmup +
-/// median protocol the scaling gates use. Each timed sample covers
-/// `runs_per_sample` consecutive invocations so a sample is long enough
-/// (tens of ms) for a 2% resolution; samples interleave the two legs
-/// *and alternate which leg goes first* (frequency scaling and allocator
-/// reuse systematically favor whichever closure runs first in a pair —
-/// a fixed order shows up as a phantom percent-level "overhead"); the
-/// attempt's ratio is median/median, robust against outliers in *either*
-/// direction (a one-off turbo-boosted run must not poison the estimate
-/// the way it would a running minimum). The best attempt wins; the gate
-/// passes as soon as one attempt clears.
-fn overhead_ratio(
-    label: &str,
-    samples: usize,
-    runs_per_sample: usize,
-    mut pre: impl FnMut(),
-    mut instrumented: impl FnMut(),
-) -> (f64, f64, f64) {
-    fn median(xs: &mut [f64]) -> f64 {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    }
-    // Warmup: page-in, branch predictors, allocator state.
-    pre();
-    instrumented();
-    let mut best: Option<(f64, f64, f64)> = None;
-    for attempt in 1..=TRACE_OVERHEAD_ATTEMPTS {
-        let mut pre_s = Vec::with_capacity(samples);
-        let mut new_s = Vec::with_capacity(samples);
-        for i in 0..samples {
-            let timed = |leg: &mut dyn FnMut(), out: &mut Vec<f64>| {
-                let t0 = Instant::now();
-                for _ in 0..runs_per_sample {
-                    leg();
-                }
-                out.push(t0.elapsed().as_secs_f64());
-            };
-            if i % 2 == 0 {
-                timed(&mut pre, &mut pre_s);
-                timed(&mut instrumented, &mut new_s);
-            } else {
-                timed(&mut instrumented, &mut new_s);
-                timed(&mut pre, &mut pre_s);
-            }
-        }
-        let per = runs_per_sample as f64;
-        let pre_med = median(&mut pre_s) / per;
-        let new_med = median(&mut new_s) / per;
-        let ratio = new_med / pre_med;
-        println!(
-            "trace-overhead {label}: preobs {pre_med:.4}s vs instrumented {new_med:.4}s \
-             → ratio {ratio:.4} (attempt {attempt}, median of {samples}×{runs_per_sample})"
-        );
-        if best.is_none_or(|(_, _, r)| ratio < r) {
-            best = Some((pre_med, new_med, ratio));
-        }
-        if ratio <= TRACE_OVERHEAD_MAX_RATIO {
-            break;
-        }
-    }
-    let (pre_med, new_med, ratio) = best.expect("at least one attempt ran");
-    assert!(
-        ratio <= TRACE_OVERHEAD_MAX_RATIO,
-        "acceptance bar: disabled tracing must cost ≤{:.0}% on {label}, \
-         got {:.2}% after {TRACE_OVERHEAD_ATTEMPTS} attempts",
-        (TRACE_OVERHEAD_MAX_RATIO - 1.0) * 100.0,
-        (ratio - 1.0) * 100.0
-    );
-    (pre_med, new_med, ratio)
-}
-
-fn trace_overhead_section() -> Json {
-    // DSC leg: the 5000-node headline instance of dsc_incremental_speedup.
-    let dsc = registry::by_name("DSC").unwrap();
-    let env = Env::bnp(1);
-    let g = rgnos::generate(RgnosParams::new(5000, 1.0, 3, 42));
-    // Identity first (also the freshness check on the frozen copy): the
-    // pre-obs engine must still produce today's exact placements.
-    let pre_out = preobs::DscPreObs.schedule(&g, &env).unwrap();
-    let new_out = dsc.schedule(&g, &env).unwrap();
-    for n in g.tasks() {
-        assert_eq!(
-            pre_out.schedule.placement(n),
-            new_out.schedule.placement(n),
-            "pre-obs DSC copy diverged from the instrumented engine on task {n}"
-        );
-    }
-    let (dsc_pre_s, dsc_new_s, dsc_ratio) = overhead_ratio(
-        "DSC v=5000",
-        7,
-        5,
-        || {
-            preobs::DscPreObs.schedule(&g, &env).unwrap();
-        },
-        || {
-            dsc.schedule(&g, &env).unwrap();
-        },
-    );
-
-    // B&B leg: the headline instance of bnb_parallel_speedup, serial on
-    // both sides. The counter identity is the satellite's migration proof:
-    // moving `nodes_expanded`/`pruned` onto the obs registry (and splitting
-    // the prune reasons) changed no search decision.
-    let (v, ccr, gpar, seed, procs) = (24usize, 1.0f64, 3u32, 42u64, 4usize);
-    let gb = rgnos::generate(RgnosParams::new(v, ccr, gpar, seed));
-    let params = OptimalParams {
-        procs: Some(procs),
-        node_limit: 4_000_000,
-        heuristic_incumbent: true,
-        threads: Some(1),
-    };
-    let pre_bnb = preobs::bnb_solve_serial(&gb, procs, params.node_limit);
-    let new_bnb = solve(&gb, &params);
-    assert!(pre_bnb.proven && new_bnb.proven, "headline instance proves");
-    assert_eq!(pre_bnb.length, new_bnb.length, "B&B optimum diverged");
-    assert_eq!(
-        pre_bnb.nodes_expanded, new_bnb.nodes_expanded,
-        "registry-backed expansion counter diverged from the pre-obs field"
-    );
-    assert_eq!(
-        new_bnb.pruned,
-        new_bnb.pruned_bound + new_bnb.pruned_duplicate,
-        "prune breakdown must partition the aggregate"
-    );
-    assert_eq!(
-        pre_bnb.pruned, new_bnb.pruned,
-        "registry-backed prune counter diverged from the pre-obs field"
-    );
-    let (bnb_pre_s, bnb_new_s, bnb_ratio) = overhead_ratio(
-        "B&B v=24 serial",
-        5,
-        1,
-        || {
-            preobs::bnb_solve_serial(&gb, procs, params.node_limit);
-        },
-        || {
-            solve(&gb, &params);
-        },
-    );
-
-    Json::obj([
-        ("max_ratio", Json::Num(TRACE_OVERHEAD_MAX_RATIO)),
-        (
-            "dsc",
-            Json::obj([
-                ("nodes", Json::Int(5000)),
-                ("preobs_s", Json::Num(dsc_pre_s)),
-                ("instrumented_s", Json::Num(dsc_new_s)),
-                ("ratio", Json::Num(dsc_ratio)),
-            ]),
-        ),
-        (
-            "bnb",
-            Json::obj([
-                ("nodes", Json::Int(v as i64)),
-                ("procs", Json::Int(procs as i64)),
-                ("preobs_s", Json::Num(bnb_pre_s)),
-                ("instrumented_s", Json::Num(bnb_new_s)),
-                ("ratio", Json::Num(bnb_ratio)),
-                ("nodes_expanded", Json::Int(new_bnb.nodes_expanded as i64)),
-                ("pruned", Json::Int(new_bnb.pruned as i64)),
-            ]),
-        ),
-    ])
-}
-
-/// Release-mode spot check of the composable-scheduler rewire: the six
-/// presets against the retained monoliths at paper scale (the exhaustive
-/// small-instance sweep lives in `dagsched-bench`'s tests), plus the size
-/// of the composed space the registry grammar opens. Any placement
-/// divergence panics — `compose_presets_equiv` is only ever written as
-/// `true`, but the field pins the fact into the trend record.
-fn compose_equivalence_section() -> Json {
-    let pairs: Vec<(Box<dyn Scheduler>, Box<dyn Scheduler>)> = vec![
-        (Box::new(dagsched_core::bnp::hlfet()), Box::new(HlfetMono)),
-        (Box::new(dagsched_core::bnp::ish()), Box::new(IshMono)),
-        (
-            Box::new(dagsched_core::bnp::mcp()),
-            Box::new(McpMono::default()),
-        ),
-        (Box::new(dagsched_core::bnp::etf()), Box::new(EtfMono)),
-        (Box::new(dagsched_core::bnp::dls()), Box::new(DlsMono)),
-        (Box::new(dagsched_core::bnp::last()), Box::new(LastMono)),
-    ];
-    let env = Env::bnp(8);
-    let mut instances = 0usize;
-    for &v in &[100usize, 300] {
-        for &ccr in &[0.1f64, 1.0, 10.0] {
-            for seed in 0..3u64 {
-                let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
-                for (new, old) in &pairs {
-                    let a = old.schedule(&g, &env).expect("monolith schedules");
-                    let b = new.schedule(&g, &env).expect("preset schedules");
-                    for n in g.tasks() {
-                        assert_eq!(
-                            a.schedule.placement(n),
-                            b.schedule.placement(n),
-                            "{} diverged from its monolith on v={v} ccr={ccr} seed={seed}",
-                            new.name(),
-                        );
-                    }
-                }
-                instances += 1;
-            }
-        }
-    }
-    let variants_total = registry::enumerate().len();
-    println!(
-        "compose: 6 presets placement-identical to monoliths on {instances} paper-scale \
-         instances; {variants_total} composed variants enumerable"
-    );
-    Json::obj([
-        ("presets_equiv", Json::Bool(true)),
-        ("instances", Json::Int(instances as i64)),
-        ("variants_total", Json::Int(variants_total as i64)),
     ])
 }
 
@@ -814,48 +611,18 @@ fn field(j: &Json, key: &str) -> Json {
 }
 
 fn main() {
-    let dsc = dsc_speedup_section();
-    let dsc_inc = incremental_speedup_section(
-        "DSC",
-        &DscScanBaseline,
-        &[(2000, 42), (5000, 42), (5000, 43)],
-        5000,
-        2.0,
-    );
-    let md_inc = incremental_speedup_section(
-        "MD",
-        &MdScan,
-        &[(1000, 42), (2000, 42), (2000, 43)],
-        2000,
-        3.0,
-    );
-    let dcp_inc = incremental_speedup_section(
-        "DCP",
-        &DcpScan,
-        &[(1000, 42), (2000, 42), (2000, 43)],
-        2000,
-        3.0,
-    );
-    let bsa = bsa_speedup_section();
+    let oracles = oracle_equivalence_section();
     let runner = runner_scaling_section();
     let bnb = bnb_parallel_speedup_section();
-    let overhead = trace_overhead_section();
-    let compose = compose_equivalence_section();
     let sweep = paper_sweep_budget_section();
     let serve = serve_throughput_section();
     let report = Json::obj([
-        ("schema", Json::Int(8)),
+        ("schema", Json::Int(9)),
         ("suite", Json::str("rgnos ccr=1.0 par=3")),
-        ("dsc_speedup", dsc.clone()),
-        ("dsc_incremental_speedup", dsc_inc.clone()),
-        ("md_incremental_speedup", md_inc.clone()),
-        ("dcp_incremental_speedup", dcp_inc.clone()),
-        ("bsa_speedup", bsa.clone()),
+        ("oracle_equivalence", oracles.clone()),
         ("algo_runtimes", algo_runtimes_section()),
         ("runner_scaling", runner.clone()),
         ("bnb_parallel_speedup", bnb.clone()),
-        ("trace_overhead", overhead.clone()),
-        ("compose_equivalence", compose.clone()),
         ("paper_sweep_budget", sweep.clone()),
         ("serve_throughput", serve.clone()),
     ]);
@@ -869,44 +636,25 @@ fn main() {
     // Append the run's headline numbers to the trend file: one JSONL record
     // per run, keyed by commit and date, never overwritten.
     let record = Json::obj([
-        ("schema", Json::Int(8)),
+        ("schema", Json::Int(9)),
         ("sha", Json::str(git_sha())),
         ("date", Json::str(utc_date())),
-        ("dsc_speedup_v1000", field(&dsc, "headline_speedup_v1000")),
-        (
-            "dsc_incremental_speedup_v5000",
-            field(&dsc_inc, "headline_speedup_v5000"),
-        ),
-        (
-            "md_incremental_speedup_v2000",
-            field(&md_inc, "headline_speedup_v2000"),
-        ),
-        (
-            "dcp_incremental_speedup_v2000",
-            field(&dcp_inc, "headline_speedup_v2000"),
-        ),
-        (
-            "bsa_speedup_v500_ccr01",
-            field(&bsa, "headline_speedup_v500_ccr01"),
-        ),
         ("runner_speedup", field(&runner, "speedup")),
         ("runner_workers", field(&runner, "workers")),
         ("runner_cells", field(&runner, "cells")),
         ("bnb_parallel_speedup", field(&bnb, "speedup")),
         ("bnb_nodes_expanded", field(&bnb, "nodes_expanded")),
         ("bnb_pruned", field(&bnb, "pruned")),
-        (
-            "trace_overhead_dsc",
-            field(&field(&overhead, "dsc"), "ratio"),
-        ),
-        (
-            "trace_overhead_bnb",
-            field(&field(&overhead, "bnb"), "ratio"),
-        ),
         ("paper_sweep_full", field(&sweep, "full")),
         ("paper_sweep_s", field(&sweep, "elapsed_s")),
-        ("compose_presets_equiv", field(&compose, "presets_equiv")),
-        ("compose_variants_total", field(&compose, "variants_total")),
+        (
+            "compose_presets_equiv",
+            field(&oracles, "compose_presets_equiv"),
+        ),
+        (
+            "compose_variants_total",
+            field(&oracles, "compose_variants_total"),
+        ),
         ("serve_throughput_rps", field(&serve, "throughput_rps")),
         ("serve_p50_us", field(&serve, "p50_us")),
         ("serve_p95_us", field(&serve, "p95_us")),

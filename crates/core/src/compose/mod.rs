@@ -29,9 +29,9 @@
 //! adversary/dominance machinery.
 //!
 //! The six paper algorithms are named *presets* of the same driver
-//! ([`preset`]), proven placement-identical to the retained monolith
-//! implementations (now in `dagsched-bench`'s `baseline::bnp`) across a
-//! multi-thousand-instance RGNOS sweep:
+//! ([`preset`]), proven placement-identical to the hand-written monolith
+//! implementations in `dagsched-bench`'s `baseline::bnp` (the BNP family's
+//! reference oracle) across a multi-thousand-instance RGNOS sweep:
 //!
 //! | Preset | `PRIO` | `LIST` | `SLOT` | `SEL` | `FILL` |
 //! |--------|--------|--------|--------|-------|--------|

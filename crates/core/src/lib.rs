@@ -38,14 +38,14 @@
 //! | MCP | O(v log v) static sort, O(p·len) slot search | — , binary-search start in `Track::earliest_fit` | slot search skips slots ending before the DRT |
 //! | ETF / DLS | O(r·p) pair scan | — | the (node, processor) min pair is recomputed by definition |
 //! | LAST | O(r·e_local) | — | dynamic edge-locality priority |
-//! | DSC | O(v·r) partially-free scan + O(v) `Schedule` clone in DSRW; then (PR 1) clone-free but still an O(v + e) rescan per step | O(log v) free-node pop + O(1) partially-free peek; each edge relaxation is one O(log v) rekey — whole pass O((v+e)·log v), the original's bound | two rekeyable [`common::IndexedHeap`]s (free + partially free), incremental t-levels under merges; clone-free DSRW retained; both scan stages kept verbatim in `bench::baseline` and gated ≥2× at v=5000 (measured ~24×) |
+//! | DSC | O(v·r) partially-free scan + O(v) `Schedule` clone in DSRW; then clone-free but still an O(v + e) rescan per step | O(log v) free-node pop + O(1) partially-free peek; each edge relaxation is one O(log v) rekey — whole pass O((v+e)·log v), the original's bound | two rekeyable [`common::IndexedHeap`]s (free + partially free), incremental t-levels under merges; clone-free DSRW retained; the scan version is the reference oracle `bench::baseline::DscScanBaseline`, and `perf_baseline` holds production to absolute seconds budgets at v=1000 and v=5000 |
 //! | EZ | O(e) edge rescan | — | |
 //! | LC | O(v + e) level recompute | — (input levels now cached per graph) | static level passes shared via `TaskGraph::levels` |
-//! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); rescan versions kept verbatim in `bench::baseline` (`MdScan`/`DcpScan`) and gated ≥3× at v=2000 (measured ~50× / ~42×) |
+//! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); rescan versions are the reference oracles `bench::baseline::{MdScan, DcpScan}`; `perf_baseline` holds production to an absolute seconds budget at v=2000 |
 //! | MH / DLS-APN | O(r·p·route) with a route `Vec` + `link_between` per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
 //! | BU | O(v·p) assignment + list pass | — | rides the same allocation-free probes |
-//! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; measured ≥5× on the paper-scale APN instance (`perf_baseline` gate) |
-//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | same tree split across workers: depth-≤8 DFS prefixes become stealable jobs on the `bench::ws` work-stealing runtime, incumbent shared via one atomic CAS-min, O(v·p + e) replay per stolen prefix | per-worker deques + duplicate sets; `TASKBENCH_THREADS=1` is byte-identical to the old serial search; gated ≥1.5× on ≥4 workers (`perf_baseline` `bnb_parallel_speedup`) |
+//! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; the replay-per-candidate oracle `bench::baseline::BsaBaseline` checks it, and `perf_baseline` holds it to an absolute seconds budget on the paper-scale APN instance |
+//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | same tree split across workers: depth-≤8 DFS prefixes become stealable jobs on the `dagsched-ws` work-stealing runtime, incumbent shared via one atomic CAS-min, O(v·p + e) replay per stolen prefix | per-worker deques + duplicate sets; `TASKBENCH_THREADS=1` is byte-identical to the old serial search; gated ≥1.5× on ≥4 workers (`perf_baseline` `bnb_parallel_speedup`) |
 //!
 //! Substrate changes underneath all of them: adjacency is CSR (flat
 //! offsets + packed `(TaskId, cost)` entries — cache-line sweeps instead of

@@ -32,9 +32,10 @@
 //! Complexity: levels are maintained by [`crate::common::DynLevelsEngine`]
 //! — each placement repairs only the affected cone instead of the former
 //! O(v + e) whole-graph rescan, leaving the O(|ready|) selection scan and
-//! the neighbourhood probes as the per-step cost. The rescan version is
-//! retained verbatim as `bench::baseline::DcpScan` and proven
-//! placement-identical.
+//! the neighbourhood probes as the per-step cost. The rescan version,
+//! `bench::baseline::DcpScan`, is DCP's reference oracle: production is
+//! proven placement-identical to it and held to an absolute seconds budget
+//! at v=2000 by `perf_baseline`.
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink};

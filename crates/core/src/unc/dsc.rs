@@ -18,8 +18,8 @@
 //!
 //! This implementation hits the original's **O((v+e)·log v)** bound with
 //! two rekeyable [`IndexedHeap`]s, replacing the per-step scans of the
-//! previous revision (retained verbatim as `bench::baseline`'s
-//! `DscScanBaseline`):
+//! scan version (`bench::baseline::DscScanBaseline`, DSC's reference
+//! oracle):
 //!
 //! * **free heap** — free nodes keyed by `t-level + b-level`. A node's
 //!   t-level is final by the time its last parent is scheduled, so entries
@@ -40,6 +40,8 @@
 //! both heaps break key ties toward the smallest task id, exactly like
 //! `ReadySet::argmax_by_key` and the old `max_by_key` scan, which the
 //! multi-thousand-instance equivalence sweep in `bench::baseline` locks in.
+//! `perf_baseline` holds the engine to an absolute seconds budget at
+//! v=1000 and v=5000.
 //!
 //! Simplification vs. the original (recorded in DESIGN.md): the DSRW is
 //! enforced via an explicit re-estimation of the protected node's start

@@ -22,8 +22,9 @@
 //! Complexity: levels are maintained by [`crate::common::DynLevelsEngine`]
 //! — each placement repairs only the affected cone instead of the former
 //! O(v + e) whole-graph rescan, leaving the O(|ready|) selection scan per
-//! step as the dominant cost. The rescan version is retained verbatim as
-//! `bench::baseline::MdScan` and proven placement-identical.
+//! step as the dominant cost. The rescan version, `bench::baseline::MdScan`,
+//! is MD's reference oracle: production is proven placement-identical to
+//! it and held to an absolute seconds budget at v=2000 by `perf_baseline`.
 
 use dagsched_graph::TaskGraph;
 use dagsched_obs::{emit, Event, NullSink, Sink};

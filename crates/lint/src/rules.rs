@@ -34,13 +34,14 @@ pub struct Diagnostic {
 }
 
 /// Invariant rules, in diagnostic-ID order.
-pub const RULES: [&str; 7] = [
+pub const RULES: [&str; 8] = [
     ENV_DISCIPLINE,
     NO_FLOAT_DECISIONS,
     NO_UNORDERED_OUTPUT,
     NO_WALL_CLOCK,
     ONE_ARTIFACT_STDOUT,
     RELAXED_ORDERING_AUDIT,
+    SINK_GENERIC,
     UNSAFE_FREE,
 ];
 
@@ -51,6 +52,7 @@ pub const UNSAFE_FREE: &str = "unsafe-free";
 pub const RELAXED_ORDERING_AUDIT: &str = "relaxed-ordering-audit";
 pub const ONE_ARTIFACT_STDOUT: &str = "one-artifact-stdout";
 pub const ENV_DISCIPLINE: &str = "env-discipline";
+pub const SINK_GENERIC: &str = "sink-generic";
 
 /// Pragma meta-rules (not allowable themselves).
 pub const BARE_ALLOW: &str = "bare-allow";
@@ -99,6 +101,14 @@ const ENV_HELPERS: [&str; 3] = [
 /// Paths where `println!`/`print!` are legitimate: CLI/binary front
 /// doors, examples, tests, and the criterion stand-in's report printer.
 const STDOUT_ALLOWED: [&str; 4] = ["/bin/", "examples/", "/tests/", "crates/compat/criterion/"];
+
+/// The observability crate defines `Sink` and its adapters; it may name
+/// `dyn Sink` anywhere.
+const SINK_DYN_ALLOWED: [&str; 1] = ["crates/obs/"];
+
+/// The object-safe traced entry points: the only fns whose *parameter
+/// lists* may take `dyn Sink`.
+const TRACED_FNS: [&str; 2] = ["schedule_traced", "solve_traced"];
 
 /// `path` matches an allowlist entry: exact file, or prefix/substring
 /// for entries ending in `/` (substring so `/bin/` and `/tests/` match
@@ -252,6 +262,111 @@ fn suppressed(pragmas: &mut [Pragma], line: usize, rule: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// sink-generic: `dyn Sink` only in traced entry-point signatures
+// ---------------------------------------------------------------------------
+
+/// The identifier starting at byte `i` and its end, if one starts there.
+fn ident_at(b: &[u8], i: usize) -> Option<(&str, usize)> {
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let first = *b.get(i)?;
+    if !(first.is_ascii_alphabetic() || first == b'_') || (i > 0 && ident(b[i - 1])) {
+        return None;
+    }
+    let end = (i..b.len()).find(|&j| !ident(b[j])).unwrap_or(b.len());
+    Some((
+        std::str::from_utf8(&b[i..end]).expect("ASCII identifier"),
+        end,
+    ))
+}
+
+/// Whether the type path after a `dyn` keyword (ending at byte `i`) is
+/// `Sink` in any path-qualified form: `Sink`, `obs::Sink`,
+/// `::dagsched_obs::Sink`, with any whitespace around the `::`s.
+fn dyn_names_sink(b: &[u8], mut i: usize) -> bool {
+    let skip_ws = |i: &mut usize| {
+        while b.get(*i).is_some_and(u8::is_ascii_whitespace) {
+            *i += 1;
+        }
+    };
+    let skip_sep = |i: &mut usize| {
+        skip_ws(i);
+        let sep = b[*i..].starts_with(b"::");
+        if sep {
+            *i += 2;
+            skip_ws(i);
+        }
+        sep
+    };
+    skip_sep(&mut i);
+    while let Some((segment, end)) = ident_at(b, i) {
+        i = end;
+        if !skip_sep(&mut i) {
+            return segment == "Sink";
+        }
+    }
+    false
+}
+
+/// 1-based lines naming `dyn Sink` outside the parameter list of a
+/// [`TRACED_FNS`] fn. The signature is tracked across lines by paren
+/// depth from the `fn <name>` tokens (which must share a line) to the
+/// list's closing paren; a `dyn` split from its path by a newline is not
+/// seen.
+fn dyn_sink_outside_traced(lines: &[Line]) -> Vec<usize> {
+    enum Sig {
+        Outside,
+        /// Saw `fn <traced name>`; its parameter list opens next.
+        Named,
+        /// Inside the traced parameter list at this paren depth.
+        Params(u32),
+    }
+    let mut sig = Sig::Outside;
+    let mut out = Vec::new();
+    for (idx, line) in lines.iter().enumerate() {
+        let b = line.code.as_bytes();
+        let mut flagged = false;
+        let mut i = 0;
+        while i < b.len() {
+            if let Some((word, end)) = ident_at(b, i) {
+                i = end;
+                if word == "dyn" && dyn_names_sink(b, end) && !matches!(sig, Sig::Params(_)) {
+                    flagged = true;
+                } else if word == "fn" && matches!(sig, Sig::Outside) {
+                    let mut j = end;
+                    while b.get(j).is_some_and(u8::is_ascii_whitespace) {
+                        j += 1;
+                    }
+                    if let Some((name, name_end)) = ident_at(b, j) {
+                        if TRACED_FNS.contains(&name) {
+                            sig = Sig::Named;
+                        }
+                        i = name_end;
+                    }
+                }
+                continue;
+            }
+            match (b[i], &mut sig) {
+                (b'(', Sig::Named) => sig = Sig::Params(1),
+                (b'(', Sig::Params(depth)) => *depth += 1,
+                (b')', Sig::Params(depth)) => {
+                    *depth -= 1;
+                    if *depth == 0 {
+                        sig = Sig::Outside;
+                    }
+                }
+                (b'{' | b';', Sig::Named) => sig = Sig::Outside,
+                _ => {}
+            }
+            i += 1;
+        }
+        if flagged {
+            out.push(idx + 1);
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
 // The rule engine
 // ---------------------------------------------------------------------------
 
@@ -261,6 +376,11 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let lines = scan(src);
     let mut diags = Vec::new();
     let mut pragmas = parse_pragmas(&lines, &mut diags, path);
+    let dyn_sink_lines = if in_list(path, &SINK_DYN_ALLOWED) {
+        Vec::new()
+    } else {
+        dyn_sink_outside_traced(&lines)
+    };
 
     let push = |diags: &mut Vec<Diagnostic>,
                 pragmas: &mut [Pragma],
@@ -375,6 +495,23 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 "print!/println! outside a CLI/binary module — stdout carries \
                  exactly one artifact per invocation; use eprintln! (stderr) or \
                  return the text to the caller"
+                    .into(),
+            );
+        }
+
+        // sink-generic: engines take `S: Sink` generically so every
+        // untraced entry point monomorphizes on `NullSink` (whose
+        // `enabled()` is an inlined `false`) and the emit sites fold away;
+        // only the object-safe traced entry points take a `dyn Sink`.
+        if dyn_sink_lines.contains(&lineno) {
+            push(
+                &mut diags,
+                &mut pragmas,
+                lineno,
+                SINK_GENERIC,
+                "`dyn Sink` outside a schedule_traced/solve_traced parameter list — \
+                 take `S: Sink` generically so untraced runs monomorphize on \
+                 NullSink and pay nothing for tracing"
                     .into(),
             );
         }

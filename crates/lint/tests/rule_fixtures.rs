@@ -182,3 +182,51 @@ fn env_discipline_fires_outside_the_parse_helpers() {
     "#;
     assert_eq!(fired("crates/graph/src/util.rs", good), Vec::<&str>::new());
 }
+
+#[test]
+fn sink_generic_fires_on_dyn_sink_outside_traced_signatures() {
+    // `&mut dyn Sink` in an ordinary (untraced) fn, in any path form.
+    let bad = r#"
+        fn run(g: &TaskGraph, sink: &mut dyn Sink) {}
+        fn boxed() -> Box<dyn dagsched_obs::Sink> { todo() }
+        fn spaced(s: &mut dyn ::dagsched_obs :: Sink) {}
+    "#;
+    let diags = lint_source("crates/core/src/unc/demo.rs", bad);
+    assert_eq!(
+        diags.iter().map(|d| (d.line, d.rule)).collect::<Vec<_>>(),
+        vec![
+            (2, rules::SINK_GENERIC),
+            (3, rules::SINK_GENERIC),
+            (4, rules::SINK_GENERIC)
+        ]
+    );
+    // The traced entry point's body is not its parameter list.
+    let body = r#"
+        fn solve_traced(g: &G, sink: &mut dyn Sink) -> R { let s: &mut dyn Sink = sink; }
+    "#;
+    assert_eq!(
+        fired("crates/optimal/src/bnb.rs", body),
+        vec![rules::SINK_GENERIC]
+    );
+    // The observability crate defines the trait and may name it freely.
+    assert_eq!(fired("crates/obs/src/sink.rs", bad), Vec::<&str>::new());
+    // Traced signatures (single- or multi-line, path-qualified), generic
+    // engines, and look-alike trait names are fine.
+    let good = r#"
+        fn schedule_traced(
+            &self,
+            g: &TaskGraph,
+            sink: &mut dyn dagsched_obs::Sink,
+        ) -> Result<Outcome, SchedError> {
+            run(g, &mut sink)
+        }
+        pub fn solve_traced(g: &G, p: &P, mut sink: &mut dyn Sink) -> R { solve_with(g, p, &mut sink) }
+        fn run<S: Sink>(g: &TaskGraph, sink: &mut S) {}
+        fn other(s: &mut dyn SinkExt, t: &mut dyn MySink) {}
+        // a comment about dyn Sink, and a "dyn Sink" string
+    "#;
+    assert_eq!(
+        fired("crates/core/src/unc/demo.rs", good),
+        Vec::<&str>::new()
+    );
+}

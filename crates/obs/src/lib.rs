@@ -68,9 +68,14 @@ impl<S: Sink + ?Sized> Sink for &mut S {
 
 /// The disabled sink: `enabled()` is a compile-time `false`, so every
 /// `emit!` guarded by it is dead code after monomorphization. This is the
-/// "zero-cost" in zero-cost tracing; `perf_baseline`'s `trace_overhead`
-/// section holds the instrumented hot paths to ≤2% of their retained
-/// pre-instrumentation copies under this sink.
+/// "zero-cost" in zero-cost tracing. The `sink-generic` lint rule keeps it
+/// structural: engines take `S: Sink` generically and only the
+/// `schedule_traced`/`solve_traced` signatures may name `dyn Sink`, so
+/// every untraced entry point runs its engine monomorphized on this sink.
+///
+/// `enabled()` stays a method rather than an associated `const`: a const
+/// would make `Sink` non-dyn-compatible and break the object-safe
+/// `schedule_traced(&mut dyn Sink)` entry point.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 

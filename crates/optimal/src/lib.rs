@@ -41,7 +41,7 @@
 //! O(p) for the earliest-start probe plus O(v + e) amortized for bound
 //! maintenance. The parallel path ([`OptimalParams::threads`] ≠ 1) splits
 //! shallow DFS prefixes (depth ≤ 8) into stealable jobs on the
-//! work-stealing runtime (`dagsched-ws`, re-exported as `bench::ws`);
+//! work-stealing runtime (`dagsched-ws`);
 //! replaying a stolen prefix costs O(v·p + e), negligible against its
 //! subtree. The incumbent *length* crosses workers through a single
 //! CAS-min `AtomicU64` — a stale read only weakens a prune bound, never

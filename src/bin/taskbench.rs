@@ -473,9 +473,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// Required fields added at each `BENCH_HISTORY.jsonl` schema version,
 /// with a one-letter type tag: `s`tring, `n`umeric (int or float),
 /// `i`nteger, `b`oolean. A record of schema K must carry exactly the
-/// fields of versions 1..=K (plus `schema` itself) — nothing missing,
-/// nothing unknown.
-const HISTORY_SCHEMA: [&[(&str, u8)]; 8] = [
+/// fields of versions 1..=K, minus those [`HISTORY_RETIRED`] at or before
+/// K (plus `schema` itself) — nothing missing, nothing unknown.
+const HISTORY_SCHEMA: [&[(&str, u8)]; 9] = [
     &[
         ("sha", b's'),
         ("date", b's'),
@@ -513,7 +513,25 @@ const HISTORY_SCHEMA: [&[(&str, u8)]; 8] = [
         ("serve_errors", b'i'),
         ("serve_cache_hit_rate", b'n'),
     ],
+    &[],
 ];
+
+/// Fields dropped at each schema version `(version, fields)`: schema 9
+/// retired the self-speedup ratios against deleted frozen copies and the
+/// disabled-tracing overhead ratios (replaced by absolute budgets and the
+/// `sink-generic` lint rule).
+const HISTORY_RETIRED: [(i64, &[&str]); 1] = [(
+    9,
+    &[
+        "dsc_speedup_v1000",
+        "dsc_incremental_speedup_v5000",
+        "md_incremental_speedup_v2000",
+        "dcp_incremental_speedup_v2000",
+        "bsa_speedup_v500_ccr01",
+        "trace_overhead_dsc",
+        "trace_overhead_bnb",
+    ],
+)];
 
 /// Validate one history record against [`HISTORY_SCHEMA`]; returns its
 /// schema version.
@@ -535,9 +553,15 @@ fn validate_history_record(rec: &taskbench::bench::report::Json) -> Result<i64, 
             HISTORY_SCHEMA.len()
         ));
     }
+    let retired = |key: &str| {
+        HISTORY_RETIRED
+            .iter()
+            .any(|&(at, keys)| at <= schema && keys.contains(&key))
+    };
     let required: Vec<(&str, u8)> = HISTORY_SCHEMA[..schema as usize]
         .iter()
         .flat_map(|v| v.iter().copied())
+        .filter(|&(key, _)| !retired(key))
         .collect();
     for (key, ty) in &required {
         let v = rec
@@ -589,7 +613,7 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
     }
 
     // Short header per column; `-` marks fields the record's schema
-    // predates. Ratios >= baseline render with two decimals.
+    // lacks (predates or retired). Values render with two decimals.
     let cols: [(&str, &str); 10] = [
         ("dsc", "dsc_speedup_v1000"),
         ("dsc-inc", "dsc_incremental_speedup_v5000"),
@@ -623,8 +647,8 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
     }
     emit(&out);
     note(&format!(
-        "{} records from {path}; columns are speedup ratios \
-         (ovh-* are instrumented/pre-instrumentation overhead, gate <= 1.02)",
+        "{} records from {path}; self-speedup and ovh-* columns are retired \
+         from schema 9 (absolute budgets in BENCH_RESULTS.json replace them)",
         records.len()
     ));
     Ok(())
