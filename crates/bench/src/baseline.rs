@@ -185,22 +185,61 @@ fn partially_free_max_scan(
 /// O(v + e) rebuild of the scheduled-graph view, with the same acyclicity
 /// hard error and recorded-finish reads as the engine.
 ///
-/// This is a separate copy even though
-/// `dagsched_core::common::DynLevels::compute` still exists upstream: the
-/// upstream rescan serves as the property-test oracle and is free to be
-/// optimized, while this one stays the plain whole-graph pass the sweeps
-/// below compare against. Semantic fixes to the scheduled-graph view must
-/// be mirrored here or the placement-identity sweep will flag the
-/// divergence. The incremental `dagsched_core::common::DynLevelsEngine`
-/// must stay value-identical; [`MdScan`] / [`DcpScan`] drive
+/// The scheduled-graph view (§3 of the paper: "the t-level of a node is
+/// a dynamic attribute because the weight of an edge may be zeroed when
+/// the two incident nodes are scheduled to the same processor") is:
+///
+/// * original edges, with cost 0 when both endpoints currently share a
+///   processor;
+/// * zero-cost *sequence edges* between consecutive tasks on each
+///   processor's timeline (execution order is a real constraint);
+/// * placed tasks are pinned: their t-level is their actual start time.
+///
+/// The incremental `dagsched_core::common::DynLevelsEngine` must stay
+/// value-identical to [`DynScanBaseline::compute`] after every placement
+/// (`tests/dynlevels_properties.rs`); [`MdScan`] / [`DcpScan`] drive
 /// whole-schedule comparisons.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DynScanBaseline;
 
+/// t-levels, b-levels and critical-path length of the scheduled-graph
+/// view, as [`DynScanBaseline::compute`] returns them. `AEST`/`ALST` of
+/// the DCP paper are exactly `tl` and `cp − bl` on this view.
+#[derive(Debug, Clone)]
+pub struct DynLevels {
+    /// Absolute earliest start times (AEST in DCP terminology).
+    pub tl: Vec<u64>,
+    /// Bottom levels on the scheduled-graph view.
+    pub bl: Vec<u64>,
+    /// Current (dynamic) critical-path length: `max(tl + bl)`.
+    pub cp: u64,
+}
+
+impl DynLevels {
+    /// Absolute earliest start time of `n`.
+    #[inline]
+    pub fn aest(&self, n: TaskId) -> u64 {
+        self.tl[n.index()]
+    }
+
+    /// Absolute latest start time of `n` that does not stretch the dynamic
+    /// critical path.
+    #[inline]
+    pub fn alst(&self, n: TaskId) -> u64 {
+        self.cp - self.bl[n.index()]
+    }
+
+    /// `alst − aest`: zero exactly on the dynamic critical path.
+    #[inline]
+    pub fn mobility(&self, n: TaskId) -> u64 {
+        self.alst(n).saturating_sub(self.aest(n))
+    }
+}
+
 impl DynScanBaseline {
     /// Compute levels for graph `g` under partial schedule `s`, from
     /// scratch.
-    pub fn compute(g: &TaskGraph, s: &Schedule) -> dagsched_core::common::DynLevels {
+    pub fn compute(g: &TaskGraph, s: &Schedule) -> DynLevels {
         let v = g.num_tasks();
         // Combined adjacency = original edges (possibly zeroed) + sequence
         // edges. Build successor lists once per call.
@@ -240,10 +279,16 @@ impl DynScanBaseline {
                 }
             }
         }
+        // A truncated Kahn order means the schedule corrupted the combined
+        // view into a cycle (e.g. a task seated on a timeline before one of
+        // its ancestors); levels over a truncated order would be silent
+        // garbage, so this is a hard error even in release builds.
         assert_eq!(order.len(), v, "combined scheduled graph must stay acyclic");
 
-        // Forward pass: t-levels (placed tasks pinned at their start,
-        // propagating their recorded finish).
+        // Forward pass: t-levels. Placed tasks are pinned at their actual
+        // start and propagate their *recorded* finish (not `start + weight`,
+        // so levels stay honest if slot durations ever diverge from
+        // weights); unplaced children take the max over their parents.
         let mut tl = vec![0u64; v];
         for &n in &order {
             let finish = match s.placement(n) {
@@ -274,7 +319,7 @@ impl DynScanBaseline {
         }
 
         let cp = (0..v).map(|i| tl[i] + bl[i]).max().unwrap_or(0);
-        dagsched_core::common::DynLevels { tl, bl, cp }
+        DynLevels { tl, bl, cp }
     }
 }
 

@@ -1,8 +1,9 @@
 // Examples and bench binaries own their stdout (terminal reports).
 #![allow(clippy::print_stdout)]
-//! Records the workspace perf baseline into `BENCH_RESULTS.json`.
+//! The workspace perf gate: pass/fail only, writes no files.
 //!
-//! Six sections, all deterministic given the seed:
+//! Four sections, all deterministic given the seed; each prints its
+//! human-readable lines to stdout and panics on a failed gate:
 //!
 //! 1. **oracle_equivalence** — every incrementally optimized algorithm
 //!    against its family's reference oracle ([`dagsched_bench::baseline`]):
@@ -13,47 +14,31 @@
 //!    placement identity on every instance (for BSA also message
 //!    identity) and an absolute seconds budget on each headline instance
 //!    (see [`BUDGETS`]).
-//! 2. **algo_runtimes** — seconds per run for every registered algorithm
-//!    on RGNOS graphs of growing size (APN capped small: message routing
-//!    is still the slowest class per run). Timing is single-threaded.
-//! 3. **runner_scaling** — wall-clock of the same (algorithm × graph)
+//! 2. **runner_scaling** — wall-clock of the same (algorithm × graph)
 //!    sweep through the work-stealing runner with 1 worker vs
 //!    `worker_count()` (at least 2) workers (warmup pass, then median of 3
 //!    timed passes per leg); asserts identical results, and a ≥1.5×
 //!    speedup when ≥4 workers run (smaller runs are exempt and flagged).
-//!    `host_cores` records `available_parallelism()`, independent of
-//!    `TASKBENCH_THREADS`.
-//! 4. **bnb_parallel_speedup** — the parallel branch-and-bound against
+//! 3. **bnb_parallel_speedup** — the parallel branch-and-bound against
 //!    its own serial path on proving RGNOS instances (same warmup +
 //!    median-of-3 protocol); asserts makespan equality and both sides
 //!    proven, pins the serial node/prune counters of the v=24 headline
 //!    instance, and gates ≥1.5× on ≥4 workers (serial fallback exempt).
-//! 5. **paper_sweep_budget** — wall-clock of the full Table-6 replication
+//! 4. **paper_sweep_budget** — wall-clock of the full Table-6 replication
 //!    (all fifteen algorithms, serial, honest per-run timings) under an
 //!    asserted ceiling: the quick CI-sized sweep must stay under
 //!    [`QUICK_SWEEP_BUDGET_S`], and with `TASKBENCH_FULL=1` the
 //!    paper-scale sweep (10 sizes × 25 (CCR, parallelism) points) must
 //!    stay under [`FULL_SWEEP_BUDGET_S`] — the regression tripwire that
 //!    keeps the whole replication runnable.
-//! 6. **serve_throughput** — an in-process `dagsched-serve` daemon
-//!    replaying the RGNOS loadgen suite with verification on: gates that
-//!    every served schedule is byte-identical to in-process scheduling
-//!    (`errors == 0`) and that the repeated suite hits the schedule
-//!    cache (`cache_hit_rate > 0`). Throughput and p50/p95/p99 latency
-//!    are recorded but never gated — wall-clock serving numbers are
-//!    indicative only.
 //!
-//! Output path: `TASKBENCH_BENCH_OUT` or `<workspace>/BENCH_RESULTS.json`.
-//! Additionally, one summary record per run is *appended* to
-//! `BENCH_HISTORY.jsonl` (override with `TASKBENCH_BENCH_HISTORY`), keyed
-//! by git SHA and UTC date, so the perf trajectory across PRs survives the
-//! overwrite of the full report. Run with `--release`; debug timings are
-//! not comparable.
+//! Performance numbers are recorded by the out-of-tree `perfbench`
+//! benchmark (see `perfbench/README.md`), not here. Run with `--release`;
+//! debug timings are not comparable.
 
 use dagsched_bench::baseline::bnp::{DlsMono, EtfMono, HlfetMono, IshMono, LastMono, McpMono};
 use dagsched_bench::baseline::{BsaBaseline, DcpScan, DscScanBaseline, MdScan};
-use dagsched_bench::report::Json;
-use dagsched_core::{registry, AlgoClass, Env, Outcome, Scheduler};
+use dagsched_core::{registry, Env, Outcome, Scheduler};
 use dagsched_graph::TaskGraph;
 use dagsched_optimal::{solve, OptimalParams};
 use dagsched_suites::rgnos::{self, RgnosParams};
@@ -90,19 +75,6 @@ const BNB_V24_SERIAL: (u64, u64, u64) = (254, 138_097, 107_902);
 const QUICK_SWEEP_BUDGET_S: f64 = 120.0;
 /// Wall-clock ceiling for the `TASKBENCH_FULL=1` paper-scale Table-6 sweep.
 const FULL_SWEEP_BUDGET_S: f64 = 900.0;
-
-/// Best-of-`reps` wall time of `algo`, with the outcome of the last rep.
-fn time_schedule(reps: usize, algo: &dyn Scheduler, g: &TaskGraph, env: &Env) -> (f64, Outcome) {
-    let mut best = f64::INFINITY;
-    let mut outcome = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = algo.schedule(g, env).expect("schedules");
-        best = best.min(t0.elapsed().as_secs_f64());
-        outcome = Some(out);
-    }
-    (best, outcome.expect("reps >= 1"))
-}
 
 /// Median wall time of three timed passes of `f`, after one untimed
 /// warmup pass (page-faults, branch predictors and allocator pools paid
@@ -225,9 +197,9 @@ fn assert_identical(f: &Family, g: &TaskGraph, a: &Outcome, b: &Outcome, at: &st
 /// oracle run per instance, production timed as the median of 3 runs,
 /// placement (and APN message) identity asserted everywhere, and every
 /// [`BUDGETS`] headline held to its absolute seconds budget.
-fn oracle_equivalence_section() -> Json {
-    let mut rows = Vec::new();
-    let mut budgets = Vec::new();
+fn oracle_equivalence_section() {
+    let mut instances = 0usize;
+    let mut budgets = 0usize;
     for f in families() {
         let name = f.production.name();
         for &(v, ccr, seed) in &f.instances {
@@ -251,85 +223,24 @@ fn oracle_equivalence_section() -> Json {
                     secs <= budget_s,
                     "{name} on the {at} headline took {secs:.4}s, over its {budget_s:.4}s budget"
                 );
-                budgets.push(Json::obj([
-                    ("algo", Json::str(name)),
-                    ("nodes", Json::Int(v as i64)),
-                    ("ccr", Json::Num(ccr)),
-                    ("seed", Json::Int(seed as i64)),
-                    ("seconds", Json::Num(secs)),
-                    ("budget_s", Json::Num(budget_s)),
-                ]));
+                budgets += 1;
             }
-            rows.push(Json::obj([
-                ("algo", Json::str(name)),
-                ("oracle", Json::str(f.oracle.name())),
-                ("nodes", Json::Int(v as i64)),
-                ("ccr", Json::Num(ccr)),
-                ("seed", Json::Int(seed as i64)),
-                ("seconds", Json::Num(secs)),
-                ("makespan", Json::Int(makespan as i64)),
-            ]));
+            instances += 1;
         }
     }
     assert_eq!(
-        budgets.len(),
+        budgets,
         BUDGETS.len(),
         "every budget names a checked instance"
     );
     let variants_total = registry::enumerate().len();
     println!(
-        "oracle equivalence: {} instances placement-identical; {variants_total} composed \
-         variants enumerable",
-        rows.len()
+        "oracle equivalence: {instances} instances placement-identical; {variants_total} \
+         composed variants enumerable"
     );
-    Json::obj([
-        ("instances", Json::Int(rows.len() as i64)),
-        ("compose_presets_equiv", Json::Bool(true)),
-        ("compose_variants_total", Json::Int(variants_total as i64)),
-        ("budgets", Json::Arr(budgets)),
-        ("rows", Json::Arr(rows)),
-    ])
 }
 
-fn algo_runtimes_section() -> Json {
-    let apn_env = Env::apn(dagsched_bench::Config::quick(0x1998).apn_topology());
-    let mut rows = Vec::new();
-    for class in [AlgoClass::Bnp, AlgoClass::Unc, AlgoClass::Apn] {
-        let sizes: &[usize] = if class == AlgoClass::Apn {
-            &[50, 100]
-        } else {
-            &[200, 500, 1000]
-        };
-        for &v in sizes {
-            let g = rgnos::generate(RgnosParams::new(v, 1.0, 3, 42));
-            let env = match class {
-                AlgoClass::Apn => apn_env.clone(),
-                _ => Env::bnp(v.min(32)),
-            };
-            for algo in registry::by_class(class) {
-                let (secs, out) = time_schedule(3, algo.as_ref(), &g, &env);
-                let makespan = out.schedule.makespan();
-                println!("{:>8} v={v}: {secs:.5}s (makespan {makespan})", algo.name());
-                rows.push(Json::obj([
-                    ("algo", Json::str(algo.name())),
-                    ("class", Json::str(class.to_string())),
-                    ("nodes", Json::Int(v as i64)),
-                    ("seconds", Json::Num(secs)),
-                    ("makespan", Json::Int(makespan as i64)),
-                ]));
-            }
-        }
-    }
-    Json::Arr(rows)
-}
-
-/// Cores the OS grants this process, independent of `TASKBENCH_THREADS`
-/// (which sets only how many workers run).
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn runner_scaling_section() -> Json {
+fn runner_scaling_section() {
     // A fixed sweep of quality cells: (BNP ∪ UNC algorithms) × 8 RGNOS
     // graphs at v=300. Per-cell work is identical in both runs; only the
     // worker count changes.
@@ -376,22 +287,13 @@ fn runner_scaling_section() -> Json {
              1 worker on ≥4 workers, got {speedup:.1}x on {workers} workers"
         );
     }
-    Json::obj([
-        ("cells", Json::Int(cells.len() as i64)),
-        ("host_cores", Json::Int(host_cores() as i64)),
-        ("workers", Json::Int(workers as i64)),
-        ("serial_s", Json::Num(serial_s)),
-        ("parallel_s", Json::Num(parallel_s)),
-        ("speedup", Json::Num(speedup)),
-        ("speedup_meaningful", Json::Bool(meaningful)),
-    ])
 }
 
-fn bnb_parallel_speedup_section() -> Json {
+fn bnb_parallel_speedup_section() {
     // Instances curated to *prove* within the node budget on both paths —
-    // a capped search's wall time measures the cap, not the search. Serial
-    // counters are recorded (they are deterministic; parallel counts vary
-    // with steal timing and per-worker duplicate detection).
+    // a capped search's wall time measures the cap, not the search. Only
+    // serial counters are pinned (they are deterministic; parallel counts
+    // vary with steal timing and per-worker duplicate detection).
     let sweep: &[(usize, f64, u32, u64, usize)] = &[
         (22, 0.1, 3, 7, 4),
         (24, 1.0, 3, 42, 4),
@@ -400,11 +302,8 @@ fn bnb_parallel_speedup_section() -> Json {
     ];
     let workers = worker_count().max(2);
     let meaningful = workers >= 4;
-    let mut rows = Vec::new();
     let mut total_serial = 0.0f64;
     let mut total_parallel = 0.0f64;
-    let mut total_nodes = 0u64;
-    let mut total_pruned = 0u64;
     for &(v, ccr, gpar, seed, procs) in sweep {
         let g = rgnos::generate(RgnosParams::new(v, ccr, gpar, seed));
         let params = |threads: usize| OptimalParams {
@@ -438,25 +337,11 @@ fn bnb_parallel_speedup_section() -> Json {
         let speedup = serial_s / parallel_s;
         total_serial += serial_s;
         total_parallel += parallel_s;
-        total_nodes += serial.nodes_expanded;
-        total_pruned += serial.pruned;
         println!(
             "bnb v={v} ccr={ccr} seed={seed} procs={procs}: serial {serial_s:.4}s \
              ({} nodes) vs {workers} workers {parallel_s:.4}s → {speedup:.1}x",
             serial.nodes_expanded
         );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(v as i64)),
-            ("ccr", Json::Num(ccr)),
-            ("seed", Json::Int(seed as i64)),
-            ("procs", Json::Int(procs as i64)),
-            ("serial_s", Json::Num(serial_s)),
-            ("parallel_s", Json::Num(parallel_s)),
-            ("speedup", Json::Num(speedup)),
-            ("length", Json::Int(serial.length as i64)),
-            ("nodes_expanded", Json::Int(serial.nodes_expanded as i64)),
-            ("pruned", Json::Int(serial.pruned as i64)),
-        ]));
     }
     let speedup = total_serial / total_parallel;
     println!(
@@ -475,20 +360,9 @@ fn bnb_parallel_speedup_section() -> Json {
              its serial path on ≥4 workers, got {speedup:.1}x on {workers} workers"
         );
     }
-    Json::obj([
-        ("host_cores", Json::Int(host_cores() as i64)),
-        ("workers", Json::Int(workers as i64)),
-        ("serial_s", Json::Num(total_serial)),
-        ("parallel_s", Json::Num(total_parallel)),
-        ("speedup", Json::Num(speedup)),
-        ("speedup_meaningful", Json::Bool(meaningful)),
-        ("nodes_expanded", Json::Int(total_nodes as i64)),
-        ("pruned", Json::Int(total_pruned as i64)),
-        ("instances", Json::Arr(rows)),
-    ])
 }
 
-fn paper_sweep_budget_section() -> Json {
+fn paper_sweep_budget_section() {
     let cfg = dagsched_bench::Config::from_env();
     let budget = if cfg.full {
         FULL_SWEEP_BUDGET_S
@@ -509,170 +383,11 @@ fn paper_sweep_budget_section() -> Json {
          (full={}) — a per-evaluation cost regression somewhere in the roster",
         cfg.full
     );
-    Json::obj([
-        ("full", Json::Bool(cfg.full)),
-        ("elapsed_s", Json::Num(elapsed)),
-        ("budget_s", Json::Num(budget)),
-    ])
-}
-
-/// In-process daemon + loadgen replay: the serving path's correctness
-/// gates (byte-identity under load, cache effectiveness on a repeated
-/// suite) with throughput/latency recorded alongside, never gated.
-fn serve_throughput_section() -> Json {
-    use dagsched_serve::loadgen::{self, LoadgenParams};
-    use dagsched_serve::server::{start, Config};
-
-    let handle = start(Config::default()).expect("bind serve daemon");
-    let params = LoadgenParams {
-        addr: handle.addr().to_string(),
-        qps: 500.0,
-        conns: 2,
-        repeat: 3, // repeats 2..3 should be pure cache hits
-        seed: 42,
-        verify: true,
-        algos: vec!["MCP".into(), "DSC".into(), "BSA".into()],
-        graphs: [0.1, 1.0, 10.0]
-            .iter()
-            .map(|&ccr| rgnos::generate(RgnosParams::new(40, ccr, 2, 42)))
-            .collect(),
-        shutdown: false,
-    };
-    let report = loadgen::run(&params).expect("loadgen runs");
-    handle.shutdown();
-
-    assert_eq!(
-        report.errors, 0,
-        "serve replay must be error-free and byte-identical to in-process \
-         scheduling; first failures: {:?}",
-        report.error_detail
-    );
-    let hit_rate = report.cache_hits as f64 / report.requests as f64;
-    assert!(
-        hit_rate > 0.0,
-        "a 3× repeated suite must hit the schedule cache"
-    );
-    Json::obj([
-        ("requests", Json::Int(report.requests as i64)),
-        ("errors", Json::Int(report.errors as i64)),
-        ("cache_hit_rate", Json::Num(hit_rate)),
-        ("elapsed_s", Json::Num(report.elapsed.as_secs_f64())),
-        ("throughput_rps", Json::Num(report.throughput_rps)),
-        ("p50_us", Json::Int(report.p50_us as i64)),
-        ("p95_us", Json::Int(report.p95_us as i64)),
-        ("p99_us", Json::Int(report.p99_us as i64)),
-    ])
-}
-
-/// The current git commit (short SHA), or `"unknown"` outside a checkout.
-fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Today's UTC date as `YYYY-MM-DD` (civil-from-days, no external deps).
-fn utc_date() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after 1970")
-        .as_secs();
-    let days = (secs / 86_400) as i64;
-    // Howard Hinnant's civil_from_days.
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Pull a numeric field out of a `Json::Obj` by key.
-fn field(j: &Json, key: &str) -> Json {
-    match j {
-        Json::Obj(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-            .expect("field present"),
-        _ => panic!("not an object"),
-    }
 }
 
 fn main() {
-    let oracles = oracle_equivalence_section();
-    let runner = runner_scaling_section();
-    let bnb = bnb_parallel_speedup_section();
-    let sweep = paper_sweep_budget_section();
-    let serve = serve_throughput_section();
-    let report = Json::obj([
-        ("schema", Json::Int(9)),
-        ("suite", Json::str("rgnos ccr=1.0 par=3")),
-        ("oracle_equivalence", oracles.clone()),
-        ("algo_runtimes", algo_runtimes_section()),
-        ("runner_scaling", runner.clone()),
-        ("bnb_parallel_speedup", bnb.clone()),
-        ("paper_sweep_budget", sweep.clone()),
-        ("serve_throughput", serve.clone()),
-    ]);
-    let path = dagsched_bench::config::bench_out().unwrap_or_else(|| {
-        format!("{}/../../BENCH_RESULTS.json", env!("CARGO_MANIFEST_DIR")).into()
-    });
-    let path = path.display().to_string();
-    std::fs::write(&path, report.pretty()).expect("write BENCH_RESULTS.json");
-    println!("wrote {path}");
-
-    // Append the run's headline numbers to the trend file: one JSONL record
-    // per run, keyed by commit and date, never overwritten.
-    let record = Json::obj([
-        ("schema", Json::Int(9)),
-        ("sha", Json::str(git_sha())),
-        ("date", Json::str(utc_date())),
-        ("runner_speedup", field(&runner, "speedup")),
-        ("runner_workers", field(&runner, "workers")),
-        ("runner_cells", field(&runner, "cells")),
-        ("bnb_parallel_speedup", field(&bnb, "speedup")),
-        ("bnb_nodes_expanded", field(&bnb, "nodes_expanded")),
-        ("bnb_pruned", field(&bnb, "pruned")),
-        ("paper_sweep_full", field(&sweep, "full")),
-        ("paper_sweep_s", field(&sweep, "elapsed_s")),
-        (
-            "compose_presets_equiv",
-            field(&oracles, "compose_presets_equiv"),
-        ),
-        (
-            "compose_variants_total",
-            field(&oracles, "compose_variants_total"),
-        ),
-        ("serve_throughput_rps", field(&serve, "throughput_rps")),
-        ("serve_p50_us", field(&serve, "p50_us")),
-        ("serve_p95_us", field(&serve, "p95_us")),
-        ("serve_p99_us", field(&serve, "p99_us")),
-        ("serve_requests", field(&serve, "requests")),
-        ("serve_errors", field(&serve, "errors")),
-        ("serve_cache_hit_rate", field(&serve, "cache_hit_rate")),
-    ]);
-    let history = dagsched_bench::config::bench_history().unwrap_or_else(|| {
-        format!("{}/../../BENCH_HISTORY.jsonl", env!("CARGO_MANIFEST_DIR")).into()
-    });
-    let history = history.display().to_string();
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&history)
-        .expect("open BENCH_HISTORY.jsonl");
-    writeln!(f, "{}", record.compact()).expect("append BENCH_HISTORY.jsonl");
-    println!("appended {history}");
+    oracle_equivalence_section();
+    runner_scaling_section();
+    bnb_parallel_speedup_section();
+    paper_sweep_budget_section();
 }

@@ -5,22 +5,36 @@
 //! `env-discipline` keeps every other file from reading the environment
 //! directly, so each knob has exactly one parse and one default.
 
-/// Output path for the perf-baseline JSON artifact
-/// (`TASKBENCH_BENCH_OUT`), if set.
-pub fn bench_out() -> Option<std::path::PathBuf> {
-    std::env::var_os("TASKBENCH_BENCH_OUT").map(std::path::PathBuf::from)
-}
-
-/// Append-target for the perf trend history JSONL
-/// (`TASKBENCH_BENCH_HISTORY`), if set.
-pub fn bench_history() -> Option<std::path::PathBuf> {
-    std::env::var_os("TASKBENCH_BENCH_HISTORY").map(std::path::PathBuf::from)
-}
-
 /// Output directory override for adversary-matrix archives
 /// (`TASKBENCH_ADV_DIR`), if set.
 pub fn adversary_dir() -> Option<std::path::PathBuf> {
     std::env::var_os("TASKBENCH_ADV_DIR").map(std::path::PathBuf::from)
+}
+
+/// Master seed when `TASKBENCH_SEED` is unset: the publication year.
+const DEFAULT_SEED: u64 = 0x1998;
+
+/// Parse the raw `TASKBENCH_SEED` / `TASKBENCH_FULL` values. The seed is a
+/// decimal `u64` (unset or empty = `0x1998`); full is unset, empty
+/// or `0` for the quick sweep and `1` for paper scale. Anything else is
+/// rejected with a message rather than ignored.
+pub fn parse_config(seed: Option<&str>, full: Option<&str>) -> Result<Config, String> {
+    let seed = match seed {
+        None | Some("") => DEFAULT_SEED,
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("TASKBENCH_SEED must be a decimal u64, got {raw:?}"))?,
+    };
+    let full = match full {
+        None | Some("") | Some("0") => false,
+        Some("1") => true,
+        Some(raw) => {
+            return Err(format!(
+                "TASKBENCH_FULL must be unset, empty, 0 or 1, got {raw:?}"
+            ))
+        }
+    };
+    Ok(Config { seed, full })
 }
 
 /// Experiment sizing knobs.
@@ -34,15 +48,13 @@ pub struct Config {
 
 impl Config {
     /// Read `TASKBENCH_SEED` / `TASKBENCH_FULL` from the environment.
+    /// Panics with a clear message on a value [`parse_config`] rejects —
+    /// an experiment knob that silently ignores its input is worse than
+    /// no knob.
     pub fn from_env() -> Config {
-        let seed = std::env::var("TASKBENCH_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0x1998);
-        let full = std::env::var("TASKBENCH_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        Config { seed, full }
+        let seed = std::env::var("TASKBENCH_SEED").ok();
+        let full = std::env::var("TASKBENCH_FULL").ok();
+        parse_config(seed.as_deref(), full.as_deref()).unwrap_or_else(|msg| panic!("{msg}"))
     }
 
     /// Quick test config.
@@ -132,6 +144,37 @@ mod tests {
         };
         assert_eq!(c.rgnos_points().len(), 25);
         assert_eq!(c.rgnos_sizes().len(), 10);
+    }
+
+    #[test]
+    fn parse_config_policy() {
+        let parse = |seed, full| parse_config(seed, full).map(|c| (c.seed, c.full));
+        assert_eq!(parse(None, None), Ok((DEFAULT_SEED, false)));
+        assert_eq!(parse(Some(""), Some("")), Ok((DEFAULT_SEED, false)));
+        assert_eq!(parse(Some("42"), Some("0")), Ok((42, false)));
+        assert_eq!(parse(Some("0"), Some("1")), Ok((0, true)));
+        assert_eq!(
+            parse(Some("18446744073709551615"), None),
+            Ok((u64::MAX, false))
+        );
+        let err = parse(Some("abc"), None).unwrap_err();
+        assert!(
+            err.contains("TASKBENCH_SEED") && err.contains("abc"),
+            "{err}"
+        );
+        assert!(parse(Some("0x2000"), None).is_err(), "hex is not decimal");
+        assert!(parse(Some("-1"), None).is_err());
+        assert!(
+            parse(Some("18446744073709551616"), None).is_err(),
+            "overflow"
+        );
+        assert!(parse(None, Some("true")).is_err());
+        let err = parse(None, Some("yes")).unwrap_err();
+        assert!(
+            err.contains("TASKBENCH_FULL") && err.contains("yes"),
+            "{err}"
+        );
+        assert!(parse(None, Some("2")).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! One module per experiment; every `run` function returns renderable
-//! [`dagsched_metrics::Table`]s so the thin binaries and `run_all` share
-//! identical code paths.
+//! [`dagsched_metrics::Table`]s, which `run_all` prints one section at a
+//! time.
 
 pub mod ablate;
 pub mod figs;

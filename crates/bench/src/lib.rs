@@ -1,10 +1,12 @@
 #![forbid(unsafe_code)]
 //! # dagsched-bench — the experiment harness
 //!
-//! One binary per table and figure of Kwok & Ahmad (IPPS 1998), §6:
+//! Every table and figure of Kwok & Ahmad (IPPS 1998), §6, is one
+//! section of the `run_all` binary; `run_all NAME…` runs only the named
+//! sections, `run_all` alone runs them all in paper order:
 //!
-//! | Binary | Reproduces |
-//! |--------|------------|
+//! | Section | Reproduces |
+//! |---------|------------|
 //! | `table1_psg` | Table 1 — schedule lengths of UNC+BNP algorithms on the Peer Set Graphs |
 //! | `table2_rgbos_unc` | Table 2 — % degradation from branch-and-bound optimal, RGBOS, UNC |
 //! | `table3_rgbos_bnp` | Table 3 — % degradation from branch-and-bound optimal, RGBOS, BNP |
@@ -15,11 +17,15 @@
 //! | `fig3_procs_rgnos` | Fig. 3(a–b) — average processors used vs graph size |
 //! | `fig4_cholesky` | Fig. 4(a–c) — average NSL on Cholesky traced graphs |
 //! | `apn_topology` | §6.4 text — topology sensitivity of the APN class |
+//! | `unc_cs` | §7 — BNP vs UNC followed by cluster scheduling |
 //! | `ablations` | design-choice ablations the paper's conclusions call out |
-//! | `run_all` | everything above, streamed to stdout |
+//!
+//! Two more binaries: `perf_baseline`, the pass/fail perf gate, and
+//! `adversary_matrix`, the dominance matrix.
 //!
 //! Every experiment is deterministic given the seed. Two knobs, via
-//! environment variables:
+//! environment variables (any other value is rejected, see
+//! [`config::parse_config`]):
 //!
 //! * `TASKBENCH_FULL=1` — paper-scale sample counts (slower);
 //! * `TASKBENCH_SEED=<u64>` — alternative master seed (default
@@ -28,7 +34,6 @@
 pub mod baseline;
 pub mod config;
 pub mod experiments;
-pub mod report;
 pub mod runner;
 
 pub use config::Config;

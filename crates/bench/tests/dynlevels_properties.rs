@@ -1,15 +1,16 @@
 //! Property tests for [`dagsched_core::common::DynLevelsEngine`]: the
 //! incremental repair must be **value-identical** to the full
-//! [`dagsched_core::common::DynLevels::compute`] rescan after *every*
-//! placement of a random placement sequence over a random DAG — the
-//! per-step analog of the whole-schedule MD/DCP placement-identity sweep
-//! in `bench::baseline`. Placement sequences deliberately include
-//! insert-into-hole seatings (random start padding), co-located parents
-//! and children (edge zeroing), and late pins, so every repair path of
-//! the engine — forward cone, backward cone, sequence-edge rewiring, cp
-//! rekeying — is exercised against the oracle.
+//! [`dagsched_bench::baseline::DynScanBaseline::compute`] rescan after
+//! *every* placement of a random placement sequence over a random DAG —
+//! the per-step analog of the whole-schedule MD/DCP placement-identity
+//! sweep in [`dagsched_bench::baseline`]. Placement sequences deliberately
+//! include insert-into-hole seatings (random start padding), co-located
+//! parents and children (edge zeroing), and late pins, so every repair
+//! path of the engine — forward cone, backward cone, sequence-edge
+//! rewiring, cp rekeying — is exercised against the oracle.
 
-use dagsched_core::common::{DynLevels, DynLevelsEngine};
+use dagsched_bench::baseline::DynScanBaseline;
+use dagsched_core::common::DynLevelsEngine;
 use dagsched_graph::{GraphBuilder, TaskGraph, TaskId};
 use dagsched_platform::{ProcId, Schedule};
 use proptest::prelude::*;
@@ -46,7 +47,7 @@ fn drive(g: &TaskGraph, picks: &[(u8, u8, u8)]) {
     let mut placed = vec![false; g.num_tasks()];
 
     let oracle_matches = |s: &Schedule, e: &DynLevelsEngine, step: usize| {
-        let d = DynLevels::compute(g, s);
+        let d = DynScanBaseline::compute(g, s);
         for n in g.tasks() {
             assert_eq!(e.aest(n), d.aest(n), "step {step}: tl({n})");
             assert_eq!(e.blevel(n), d.bl[n.index()], "step {step}: bl({n})");

@@ -1,9 +1,9 @@
 //! Incremental dynamic-levels engine for the dynamic-list algorithms.
 //!
-//! [`super::DynLevels::compute`] rebuilds the whole scheduled-graph view —
-//! combined adjacency, Kahn order, two level passes — after **every**
-//! placement, which is what kept MD and DCP quadratic after DSC moved to
-//! its heap engine. But a single placement of `n` on processor `p`
+//! A full rescan rebuilds the whole scheduled-graph view — combined
+//! adjacency, Kahn order, two level passes — after **every** placement,
+//! which is what kept MD and DCP quadratic after DSC moved to its heap
+//! engine. But a single placement of `n` on processor `p`
 //! perturbs the view in exactly three bounded ways:
 //!
 //! 1. `tl[n]` becomes pinned at the actual start time;
@@ -38,13 +38,14 @@
 //!   `tl + bl`; repairs rekey it, and the dynamic critical-path length is
 //!   an O(1) `peek_max`.
 //!
-//! The engine is value-identical to [`super::DynLevels::compute`] after
-//! every placement (proptested per step in
-//! `crates/core/tests/dynlevels_properties.rs`, and end-to-end by the
-//! MD/DCP placement-identity sweeps against `bench::baseline`). Worst-case
-//! repair cost per placement is still O((v + e) · log v), but the touched
-//! cone is typically a small neighbourhood — `perf_baseline` gates the
-//! resulting MD/DCP speedups at paper scale.
+//! The engine is value-identical to the rescan oracle
+//! `bench::baseline::DynScanBaseline::compute` after every placement
+//! (proptested per step in `crates/bench/tests/dynlevels_properties.rs`,
+//! and end-to-end by the MD/DCP placement-identity sweeps against
+//! `bench::baseline`). Worst-case repair cost per placement is still
+//! O((v + e) · log v), but the touched cone is typically a small
+//! neighbourhood — `perf_baseline` holds MD and DCP to absolute seconds
+//! budgets at paper scale.
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_platform::{Placement, Schedule};
@@ -331,11 +332,11 @@ fn seq_neighbor(s: &Schedule, u: TaskId, pl: &Placement, offset: i32) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::DynLevels;
     use dagsched_graph::GraphBuilder;
     use dagsched_platform::ProcId;
 
-    /// a(2) →(5) b(3); c(4) independent — the `dynlevels` fixture.
+    /// a(2) →(5) b(3); c(4) independent — the fixture of the scan
+    /// comparisons in `crates/bench/tests/dynlevels_fixture.rs`.
     fn fixture() -> TaskGraph {
         let mut gb = GraphBuilder::new();
         let a = gb.add_task(2);
@@ -343,76 +344,6 @@ mod tests {
         let _c = gb.add_task(4);
         gb.add_edge(a, TaskId(1), 5).unwrap();
         gb.build().unwrap()
-    }
-
-    fn assert_matches_scan(g: &TaskGraph, s: &Schedule, e: &DynLevelsEngine) {
-        let d = DynLevels::compute(g, s);
-        for n in g.tasks() {
-            assert_eq!(e.aest(n), d.aest(n), "tl({n})");
-            assert_eq!(e.blevel(n), d.bl[n.index()], "bl({n})");
-        }
-        assert_eq!(e.cp(), d.cp, "cp");
-    }
-
-    #[test]
-    fn fresh_engine_equals_static_levels() {
-        let g = fixture();
-        let s = Schedule::new(g.num_tasks(), 2);
-        let e = DynLevelsEngine::new(&g);
-        assert_matches_scan(&g, &s, &e);
-        assert_eq!(e.cp(), 10);
-        assert_eq!(e.mobility(TaskId(2)), 6);
-    }
-
-    #[test]
-    fn tracks_the_scan_through_a_full_schedule() {
-        let g = fixture();
-        let mut s = Schedule::new(g.num_tasks(), 2);
-        let mut e = DynLevelsEngine::new(&g);
-        for (n, p, at, w) in [
-            (TaskId(2), ProcId(0), 0u64, 4u64),
-            (TaskId(0), ProcId(0), 4, 2),
-            (TaskId(1), ProcId(0), 6, 3),
-        ] {
-            s.place(n, p, at, w).unwrap();
-            e.placed(&g, &s, n);
-            assert_matches_scan(&g, &s, &e);
-        }
-        // All colocated: the a→b edge zeroed, c→a→b sequence chain.
-        assert_eq!(e.cp(), 9);
-    }
-
-    #[test]
-    fn insertion_into_a_hole_rewires_sequence_edges() {
-        // Seat two tasks with a gap, then insert the third into the hole:
-        // the engine must replace the old sequence edge with the pair
-        // around the new slot.
-        let g = fixture();
-        let mut s = Schedule::new(g.num_tasks(), 2);
-        let mut e = DynLevelsEngine::new(&g);
-        s.place(TaskId(0), ProcId(0), 0, 2).unwrap();
-        e.placed(&g, &s, TaskId(0));
-        s.place(TaskId(1), ProcId(0), 20, 3).unwrap();
-        e.placed(&g, &s, TaskId(1));
-        assert_matches_scan(&g, &s, &e);
-        s.place(TaskId(2), ProcId(0), 5, 4).unwrap(); // hole [2, 20)
-        e.placed(&g, &s, TaskId(2));
-        assert_matches_scan(&g, &s, &e);
-        // bl(a) now runs a → c → b through sequence edges: 2 + 4+... the
-        // scan agrees; spot-check the headline number too.
-        assert_eq!(e.blevel(TaskId(0)), 2 + 4 + 3);
-    }
-
-    #[test]
-    fn late_placement_raises_descendant_t_levels() {
-        let g = fixture();
-        let mut s = Schedule::new(g.num_tasks(), 2);
-        let mut e = DynLevelsEngine::new(&g);
-        s.place(TaskId(0), ProcId(1), 50, 2).unwrap();
-        e.placed(&g, &s, TaskId(0));
-        assert_eq!(e.aest(TaskId(0)), 50);
-        assert_eq!(e.aest(TaskId(1)), 50 + 2 + 5);
-        assert_matches_scan(&g, &s, &e);
     }
 
     #[test]

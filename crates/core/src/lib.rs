@@ -41,7 +41,7 @@
 //! | DSC | O(v·r) partially-free scan + O(v) `Schedule` clone in DSRW; then clone-free but still an O(v + e) rescan per step | O(log v) free-node pop + O(1) partially-free peek; each edge relaxation is one O(log v) rekey — whole pass O((v+e)·log v), the original's bound | two rekeyable [`common::IndexedHeap`]s (free + partially free), incremental t-levels under merges; clone-free DSRW retained; the scan version is the reference oracle `bench::baseline::DscScanBaseline`, and `perf_baseline` holds production to absolute seconds budgets at v=1000 and v=5000 |
 //! | EZ | O(e) edge rescan | — | |
 //! | LC | O(v + e) level recompute | — (input levels now cached per graph) | static level passes shared via `TaskGraph::levels` |
-//! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); rescan versions are the reference oracles `bench::baseline::{MdScan, DcpScan}`; `perf_baseline` holds production to an absolute seconds budget at v=2000 |
+//! | MD / DCP | full dynamic-levels rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); the rescan `bench::baseline::DynScanBaseline` and the MD/DCP built on it, `bench::baseline::{MdScan, DcpScan}`, are the reference oracles; `perf_baseline` holds production to an absolute seconds budget at v=2000 |
 //! | MH / DLS-APN | O(r·p·route) with a route `Vec` + `link_between` per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
 //! | BU | O(v·p) assignment + list pass | — | rides the same allocation-free probes |
 //! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; the replay-per-candidate oracle `bench::baseline::BsaBaseline` checks it, and `perf_baseline` holds it to an absolute seconds budget on the paper-scale APN instance |

@@ -8,7 +8,7 @@
 //!
 //! * **AEST/ALST** — absolute earliest/latest start times on the partially
 //!   scheduled graph ([`crate::common::DynLevelsEngine`], value-identical
-//!   to the [`crate::common::DynLevels`] rescan); the node with the
+//!   to the `bench::baseline::DynScanBaseline` rescan); the node with the
 //!   smallest `ALST − AEST` (0 ⇒ on the *dynamic* critical path) is
 //!   scheduled next, ties to the smaller AEST.
 //! * **Restricted processor candidates** — only processors holding a parent

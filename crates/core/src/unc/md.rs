@@ -3,9 +3,9 @@
 //! Taxonomy (§3): **dynamic list**, CP-based, insertion. The priority is
 //! the **relative mobility** `M(n) = (L − (tl(n) + bl(n))) / w(n)` computed
 //! on the partially scheduled graph ([`crate::common::DynLevelsEngine`],
-//! value-identical to the [`crate::common::DynLevels`] rescan): nodes on
-//! the current (dynamic) critical path have mobility 0 and are scheduled
-//! first.
+//! value-identical to the `bench::baseline::DynScanBaseline` rescan):
+//! nodes on the current (dynamic) critical path have mobility 0 and are
+//! scheduled first.
 //!
 //! The selected node scans the already-used processors in id order and
 //! takes the **first** one offering an insertion slot that does not stretch

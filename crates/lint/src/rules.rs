@@ -61,25 +61,22 @@ pub const UNKNOWN_RULE: &str = "unknown-rule";
 
 /// The timing layer: the only files where wall clock may be read.
 /// Everything here feeds human-facing timing output (span profiles,
-/// Table-6 runtimes, loadgen latency percentiles, criterion samples) —
+/// Table-6 runtimes, loadgen latency percentiles, perf-gate timings) —
 /// never scheduler decisions or committed artifacts.
-const WALL_CLOCK_ALLOWED: [&str; 7] = [
+const WALL_CLOCK_ALLOWED: [&str; 5] = [
     "crates/obs/src/span.rs",
     "crates/metrics/src/stats.rs",
     "crates/serve/src/loadgen.rs",
-    "crates/compat/criterion/",
     "crates/bench/src/runner.rs",
     "crates/bench/src/bin/",
-    "crates/bench/benches/",
 ];
 
 /// Files that render committed artifacts or stdout output; unordered
 /// iteration here silently breaks the byte-determinism contract.
-const ARTIFACT_FILES: [&str; 11] = [
+const ARTIFACT_FILES: [&str; 10] = [
     "crates/adversary/src/archive.rs",
     "crates/adversary/src/matrix.rs",
     "crates/bench/src/bin/",
-    "crates/bench/src/report.rs",
     "crates/graph/src/binio.rs",
     "crates/graph/src/io.rs",
     "crates/metrics/src/table.rs",
@@ -99,8 +96,8 @@ const ENV_HELPERS: [&str; 3] = [
 ];
 
 /// Paths where `println!`/`print!` are legitimate: CLI/binary front
-/// doors, examples, tests, and the criterion stand-in's report printer.
-const STDOUT_ALLOWED: [&str; 4] = ["/bin/", "examples/", "/tests/", "crates/compat/criterion/"];
+/// doors, examples and tests.
+const STDOUT_ALLOWED: [&str; 3] = ["/bin/", "examples/", "/tests/"];
 
 /// The observability crate defines `Sink` and its adapters; it may name
 /// `dyn Sink` anywhere.
@@ -483,7 +480,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
         }
 
         // one-artifact-stdout: stdout is the artifact channel; only
-        // binaries, examples, tests and the criterion stand-in print.
+        // binaries, examples and tests print.
         if !in_list(path, &STDOUT_ALLOWED)
             && (has_macro(code, "println") || has_macro(code, "print"))
         {

@@ -5,7 +5,6 @@
 //! taskbench run  <ALGO> <file.tgf> [-p N] [--topology T] [--gantt]
 //! taskbench trace <ALGO> <file.tgf> [-p N] [--topology T]
 //! taskbench profile <ALGO> <file.tgf> [-p N] [--topology T] [--reps N] [--top N]
-//! taskbench bench-history [file.jsonl]   perf trend table from BENCH_HISTORY
 //! taskbench adversary <TARGET> <BASELINE|optimal> [flags]
 //! taskbench info <file.tgf>              structural statistics
 //! taskbench dot  <file.tgf>              Graphviz export
@@ -85,7 +84,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("run") => cmd_run(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("bench-history") => cmd_bench_history(&args[1..]),
         Some("adversary") => cmd_adversary(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("dot") => cmd_dot(&args[1..]),
@@ -134,7 +132,6 @@ taskbench — benchmarking task graph scheduling algorithms (Kwok & Ahmad, IPPS'
             deterministic decision trace + schedule timeline (Chrome JSON, stdout)
   taskbench profile <ALGO> <file.tgf> [-p N] [--topology T] [--reps N] [--top N]
             wall-clock span profile + counter/histogram registry dump
-  taskbench bench-history [file.jsonl]       perf trend table (default: repo root)
   taskbench adversary <TARGET> <BASELINE|optimal> [--budget N] [--seed S]
             [--max-nodes V] [--out file.tgf]     adversarial instance search
   taskbench info <file.tgf>
@@ -467,190 +464,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     emit(&text);
     note("profile times are wall-clock: indicative, never CI-diffed");
-    Ok(())
-}
-
-/// Required fields added at each `BENCH_HISTORY.jsonl` schema version,
-/// with a one-letter type tag: `s`tring, `n`umeric (int or float),
-/// `i`nteger, `b`oolean. A record of schema K must carry exactly the
-/// fields of versions 1..=K, minus those [`HISTORY_RETIRED`] at or before
-/// K (plus `schema` itself) — nothing missing, nothing unknown.
-const HISTORY_SCHEMA: [&[(&str, u8)]; 9] = [
-    &[
-        ("sha", b's'),
-        ("date", b's'),
-        ("dsc_speedup_v1000", b'n'),
-        ("runner_speedup", b'n'),
-        ("runner_workers", b'i'),
-        ("runner_cells", b'i'),
-    ],
-    &[("bsa_speedup_v500_ccr01", b'n')],
-    &[
-        ("dsc_incremental_speedup_v5000", b'n'),
-        ("paper_sweep_full", b'b'),
-        ("paper_sweep_s", b'n'),
-    ],
-    &[
-        ("md_incremental_speedup_v2000", b'n'),
-        ("dcp_incremental_speedup_v2000", b'n'),
-    ],
-    &[
-        ("bnb_parallel_speedup", b'n'),
-        ("bnb_nodes_expanded", b'i'),
-        ("bnb_pruned", b'i'),
-    ],
-    &[("trace_overhead_dsc", b'n'), ("trace_overhead_bnb", b'n')],
-    &[
-        ("compose_presets_equiv", b'b'),
-        ("compose_variants_total", b'i'),
-    ],
-    &[
-        ("serve_throughput_rps", b'n'),
-        ("serve_p50_us", b'i'),
-        ("serve_p95_us", b'i'),
-        ("serve_p99_us", b'i'),
-        ("serve_requests", b'i'),
-        ("serve_errors", b'i'),
-        ("serve_cache_hit_rate", b'n'),
-    ],
-    &[],
-];
-
-/// Fields dropped at each schema version `(version, fields)`: schema 9
-/// retired the self-speedup ratios against deleted frozen copies and the
-/// disabled-tracing overhead ratios (replaced by absolute budgets and the
-/// `sink-generic` lint rule).
-const HISTORY_RETIRED: [(i64, &[&str]); 1] = [(
-    9,
-    &[
-        "dsc_speedup_v1000",
-        "dsc_incremental_speedup_v5000",
-        "md_incremental_speedup_v2000",
-        "dcp_incremental_speedup_v2000",
-        "bsa_speedup_v500_ccr01",
-        "trace_overhead_dsc",
-        "trace_overhead_bnb",
-    ],
-)];
-
-/// Validate one history record against [`HISTORY_SCHEMA`]; returns its
-/// schema version.
-fn validate_history_record(rec: &taskbench::bench::report::Json) -> Result<i64, String> {
-    use taskbench::bench::report::Json;
-
-    let fields = match rec {
-        Json::Obj(fields) => fields,
-        _ => return Err("record is not a JSON object".into()),
-    };
-    let schema = match rec.get("schema") {
-        Some(Json::Int(v)) => *v,
-        Some(_) => return Err("`schema` must be an integer".into()),
-        None => return Err("missing `schema` field".into()),
-    };
-    if !(1..=HISTORY_SCHEMA.len() as i64).contains(&schema) {
-        return Err(format!(
-            "unknown schema version {schema} (known: 1..={})",
-            HISTORY_SCHEMA.len()
-        ));
-    }
-    let retired = |key: &str| {
-        HISTORY_RETIRED
-            .iter()
-            .any(|&(at, keys)| at <= schema && keys.contains(&key))
-    };
-    let required: Vec<(&str, u8)> = HISTORY_SCHEMA[..schema as usize]
-        .iter()
-        .flat_map(|v| v.iter().copied())
-        .filter(|&(key, _)| !retired(key))
-        .collect();
-    for (key, ty) in &required {
-        let v = rec
-            .get(key)
-            .ok_or_else(|| format!("schema {schema} record is missing `{key}`"))?;
-        let ok = match ty {
-            b's' => matches!(v, Json::Str(_)),
-            b'n' => v.as_f64().is_some(),
-            b'i' => matches!(v, Json::Int(_)),
-            b'b' => matches!(v, Json::Bool(_)),
-            _ => unreachable!("tags are s/n/i/b"),
-        };
-        if !ok {
-            return Err(format!("field `{key}` has the wrong type"));
-        }
-    }
-    for (key, _) in fields {
-        if key != "schema" && !required.iter().any(|(k, _)| k == key) {
-            return Err(format!("unknown field `{key}` for schema {schema}"));
-        }
-    }
-    Ok(schema)
-}
-
-fn cmd_bench_history(args: &[String]) -> Result<(), String> {
-    use taskbench::bench::report::Json;
-
-    let path = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("BENCH_HISTORY.jsonl");
-    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
-        return Err(format!("unknown flag `{flag}`"));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-
-    let mut records: Vec<(i64, Json)> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        let rec = Json::parse(line).map_err(|e| format!("{path}:{lineno}: {e}"))?;
-        let schema = validate_history_record(&rec).map_err(|e| format!("{path}:{lineno}: {e}"))?;
-        records.push((schema, rec));
-    }
-    if records.is_empty() {
-        return Err(format!("{path}: no records"));
-    }
-
-    // Short header per column; `-` marks fields the record's schema
-    // lacks (predates or retired). Values render with two decimals.
-    let cols: [(&str, &str); 10] = [
-        ("dsc", "dsc_speedup_v1000"),
-        ("dsc-inc", "dsc_incremental_speedup_v5000"),
-        ("md-inc", "md_incremental_speedup_v2000"),
-        ("dcp-inc", "dcp_incremental_speedup_v2000"),
-        ("bsa", "bsa_speedup_v500_ccr01"),
-        ("runner", "runner_speedup"),
-        ("bnb-par", "bnb_parallel_speedup"),
-        ("ovh-dsc", "trace_overhead_dsc"),
-        ("ovh-bnb", "trace_overhead_bnb"),
-        ("srv-rps", "serve_throughput_rps"),
-    ];
-    let mut out = format!("{:<13} {:<11} {:>2}", "sha", "date", "sv");
-    for (hdr, _) in &cols {
-        out.push_str(&format!(" {hdr:>8}"));
-    }
-    out.push('\n');
-    for (schema, rec) in &records {
-        let s = |key: &str| match rec.get(key) {
-            Some(Json::Str(v)) => v.clone(),
-            _ => "?".into(),
-        };
-        out.push_str(&format!("{:<13} {:<11} {:>2}", s("sha"), s("date"), schema));
-        for (_, key) in &cols {
-            match rec.get(key).and_then(Json::as_f64) {
-                Some(x) => out.push_str(&format!(" {x:>8.2}")),
-                None => out.push_str(&format!(" {:>8}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    emit(&out);
-    note(&format!(
-        "{} records from {path}; self-speedup and ovh-* columns are retired \
-         from schema 9 (absolute budgets in BENCH_RESULTS.json replace them)",
-        records.len()
-    ));
     Ok(())
 }
 

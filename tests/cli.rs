@@ -246,38 +246,3 @@ fn psg_indices_cover_the_set() {
     assert!(!ok);
     assert!(stderr.contains("out of range"));
 }
-
-/// Schema 9 drops the retired self-speedup and tracing-overhead ratios:
-/// a clean schema-9 record validates, one still carrying a retired field
-/// is rejected as unknown, and the committed history (schemas 1–9) stays
-/// readable.
-#[test]
-fn bench_history_schema_9_retires_self_speedups() {
-    let dir = std::env::temp_dir().join(format!("taskbench-hist-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let clean = r#"{"schema":9,"sha":"abc123","date":"2026-01-01","runner_speedup":0.9,"runner_workers":2,"runner_cells":88,"bnb_parallel_speedup":0.45,"bnb_nodes_expanded":515623,"bnb_pruned":416504,"paper_sweep_full":false,"paper_sweep_s":4.4,"compose_presets_equiv":true,"compose_variants_total":128,"serve_throughput_rps":500.0,"serve_p50_us":600,"serve_p95_us":900,"serve_p99_us":1200,"serve_requests":27,"serve_errors":0,"serve_cache_hit_rate":0.67}"#;
-    let ok_path = dir.join("ok.jsonl");
-    std::fs::write(&ok_path, format!("{clean}\n")).unwrap();
-    let (ok, stdout, stderr) = taskbench(&["bench-history", ok_path.to_str().unwrap()]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("abc123"), "{stdout}");
-
-    for retired in [
-        r#""dsc_speedup_v1000":57.4"#,
-        r#""bsa_speedup_v500_ccr01":5.8"#,
-        r#""trace_overhead_dsc":1.0"#,
-    ] {
-        let rec = clean.replacen('{', &format!("{{{retired},"), 1);
-        let bad_path = dir.join("bad.jsonl");
-        std::fs::write(&bad_path, format!("{rec}\n")).unwrap();
-        let (ok, _, stderr) = taskbench(&["bench-history", bad_path.to_str().unwrap()]);
-        assert!(!ok, "retired field accepted: {retired}");
-        assert!(stderr.contains("unknown field"), "{stderr}");
-    }
-
-    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_HISTORY.jsonl");
-    let (ok, _, stderr) = taskbench(&["bench-history", committed]);
-    assert!(ok, "{stderr}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}

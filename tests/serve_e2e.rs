@@ -258,7 +258,9 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
 /// The real binary: `taskbench serve` prints its address, `taskbench
 /// loadgen --verify --shutdown` replays a suite against it with zero
-/// errors and stops it — the CI smoke path, runnable locally.
+/// errors and stops it — the CI smoke path, runnable locally. The
+/// algorithm mix covers one class each: BNP (MCP), UNC (DSC) and the
+/// APN path with its message schedule (BSA).
 #[test]
 fn taskbench_serve_and_loadgen_round_trip() {
     use std::io::{BufRead, BufReader};
@@ -291,6 +293,8 @@ fn taskbench_serve_and_loadgen_round_trip() {
             "MCP",
             "--algo",
             "DSC",
+            "--algo",
+            "BSA",
             "--verify",
             "--shutdown",
         ])
