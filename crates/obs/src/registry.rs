@@ -65,11 +65,11 @@ pub enum Metric {
     BnbPrunedDuplicate,
     /// Runner: experiment cells executed.
     RunnerCells,
-    /// serve: schedule requests admitted to the worker queue.
+    /// serve: schedule requests admitted through the admission gate.
     ServeRequests,
     /// serve: requests answered with a structured error.
     ServeErrors,
-    /// serve: requests rejected by queue backpressure (retry-after sent).
+    /// serve: requests rejected by a full admission line (retry-after sent).
     ServeQueueRejects,
     /// serve: schedule cache hits.
     ServeCacheHits,
@@ -158,7 +158,7 @@ pub enum HistId {
     ApnRetireBatch,
     /// Runner: per-cell schedule+validate duration, microseconds.
     RunnerCellUs,
-    /// serve: worker-queue depth sampled at each admit.
+    /// serve: waiting-line position at each admission (`0`: a slot was free).
     ServeQueueDepth,
 }
 

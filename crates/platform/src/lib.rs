@@ -33,7 +33,7 @@
 //!   slice views.
 //! * [`Network`] — mutable link-schedule state used by APN algorithms to
 //!   probe and commit message transmissions. Messages live in a slab with
-//!   a free list behind vector-backed edge and per-task incidence indices;
+//!   a free list behind a vector-backed edge index;
 //!   [`Network::remove_batch`] retires a whole set of messages with one
 //!   compaction pass per touched link — the primitive under the
 //!   trial-commit/rollback journal that `dagsched-core`'s incremental BSA

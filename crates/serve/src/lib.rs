@@ -18,23 +18,21 @@
 //! * **Framing** ([`frame`]) — u32 length-prefixed frames with a hard
 //!   size cap; a malformed or oversize frame fails one connection with a
 //!   structured error, never the daemon.
-//! * **Backpressure** ([`queue`]) — a bounded worker queue; when it is
-//!   full the request is rejected immediately with `E_QUEUE_FULL` and a
-//!   `retry_after_ms` hint instead of stacking latency.
+//! * **Backpressure** ([`gate`]) — one counting admission gate: at
+//!   most `workers` requests schedule at once and `queue_cap` more wait
+//!   in FIFO order; past that a request is rejected immediately with
+//!   `E_QUEUE_FULL` and a `retry_after_ms` hint instead of stacking
+//!   latency.
 //! * **Memoization** ([`cache`]) — a sharded LRU keyed by (structural
 //!   graph hash, platform, canonical algorithm name) storing rendered
 //!   response bytes, so a cache hit returns *byte-identical* output to
 //!   the original computation. Hit/miss/eviction counters live in
 //!   [`dagsched_obs::registry`].
-//! * **Worker pool** ([`server`]) — `TASKBENCH_THREADS`-aware (via
-//!   [`dagsched_ws::worker_count`]); graceful shutdown stops accepting,
-//!   drains in-flight requests, then joins every thread.
-//!
-//! Everything is threads + mpsc over blocking sockets — deliberately
-//! tokio-shaped (one acceptor, per-connection readers, a submission
-//! queue, a worker pool) so an async runtime can replace the thread pool
-//! without touching the protocol or cache layers when registry access
-//! arrives.
+//! * **Threads** ([`server`]) — an acceptor and one thread per
+//!   connection; each request is scheduled on the thread that read it. A
+//!   scheduler panic costs that request an `E_INTERNAL`, not the
+//!   connection. Graceful shutdown stops accepting, drains in-flight
+//!   requests, then joins every thread.
 //!
 //! ## Determinism contract
 //!
@@ -46,9 +44,9 @@
 
 pub mod cache;
 pub mod frame;
+pub mod gate;
 pub mod loadgen;
 pub mod proto;
-pub mod queue;
 pub mod server;
 
 pub use cache::{CacheKey, ShardedLru};

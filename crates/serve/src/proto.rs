@@ -48,11 +48,11 @@ pub mod code {
     pub const REQ_MALFORMED: &str = "E_REQ_MALFORMED";
     /// Platform spec failed to parse.
     pub const PLATFORM_BAD: &str = "E_PLATFORM_BAD";
-    /// Worker queue full: retry after the carried `retry_after_ms`.
+    /// Admission line full: retry after the carried `retry_after_ms`.
     pub const QUEUE_FULL: &str = "E_QUEUE_FULL";
-    /// The daemon is shutting down and no longer admits requests.
+    /// Reserved: the daemon drains on shutdown and never sends this today.
     pub const SHUTTING_DOWN: &str = "E_SHUTTING_DOWN";
-    /// The daemon dropped a request internally (worker died).
+    /// Scheduling panicked on this request; the connection keeps serving.
     pub const INTERNAL: &str = "E_INTERNAL";
 }
 

@@ -1,32 +1,30 @@
-//! The daemon: acceptor, per-connection readers, a bounded submission
-//! queue, and a scheduling worker pool.
-//!
-//! Thread shape (deliberately tokio-shaped — each role maps onto a task
-//! if an async runtime ever replaces the pool):
+//! The daemon: an acceptor and one thread per connection. Each request is
+//! scheduled on the connection thread that read it, behind one admission
+//! [`Gate`] that caps how many requests schedule at once (`workers`) and
+//! how many wait for a slot (`queue_cap`); past both, `E_QUEUE_FULL`.
 //!
 //! ```text
 //! listener ──accept──▶ conn thread (one per connection)
-//!                        │  frame → parse → try_push ──▶ bounded queue
-//!                        ◀──────── reply mpsc ◀───────── worker pool
+//!                        frame → parse → gate.enter → decode → cache
+//!                        ◀── write_frame ◀── render ◀── schedule
 //! ```
 //!
-//! A connection thread serializes its own requests: it blocks on the
-//! per-request reply channel before reading the next frame, which is
-//! what gives clients exactly-once, in-order responses per connection.
+//! A connection thread answers one frame before reading the next, which
+//! is what gives clients exactly-once, in-order responses per connection.
 //!
 //! ## Graceful shutdown
 //!
 //! A `shutdown` request (or [`Handle::shutdown`]) flips the flag; the
-//! listener stops accepting, connection threads finish the frame they
-//! are on (with a bounded grace for a peer mid-frame) and close, the
-//! queue is closed *after* connection threads exit so every admitted
-//! request still reaches a worker, and workers drain the queue before
-//! joining. In-flight requests always get their response.
+//! listener stops accepting, and connection threads finish the frame they
+//! are on (with a bounded grace for a peer mid-frame) and close. An
+//! admitted request runs to its response on its own connection thread,
+//! and shutdown joins every connection thread, so in-flight requests
+//! always get their response.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -36,11 +34,11 @@ use dagsched_obs::registry::{global, HistId, Metric};
 
 use crate::cache::{CacheKey, ShardedLru};
 use crate::frame::{write_frame, FrameError, FrameReader};
+use crate::gate::Gate;
 use crate::proto::{
     self, code, encode_err, encode_ok, parse_request, render_schedule, GraphWire, Request,
     ServeError,
 };
-use crate::queue::{Bounded, PushError};
 
 /// How long a rejected request should wait before retrying.
 pub const RETRY_AFTER_MS: u64 = 25;
@@ -57,10 +55,10 @@ const MID_FRAME_GRACE: u32 = 40;
 pub struct Config {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Scheduling workers; `0` = [`dagsched_ws::worker_count`] (which
-    /// honors `TASKBENCH_THREADS`).
+    /// Requests scheduled at once; `0` = [`dagsched_ws::worker_count`]
+    /// (which honors `TASKBENCH_THREADS`).
     pub workers: usize,
-    /// Bounded queue capacity — the backpressure knob.
+    /// Requests that may wait for a scheduling slot (backpressure).
     pub queue_cap: usize,
     /// Total schedule-cache entries (`0` disables memoization).
     pub cache_cap: usize,
@@ -77,19 +75,10 @@ impl Default for Config {
     }
 }
 
-struct Job {
-    wire: GraphWire,
-    platform: String,
-    algo: String,
-    graph: Vec<u8>,
-    reply: mpsc::Sender<Vec<u8>>,
-}
-
 struct Shared {
-    shutdown: AtomicBool,
-    done: Mutex<bool>,
-    done_cv: Condvar,
-    queue: Bounded<Job>,
+    shutdown: Mutex<bool>,
+    shutdown_cv: Condvar,
+    gate: Gate,
     cache: ShardedLru,
     conns: Mutex<Vec<JoinHandle<()>>>,
     addr: SocketAddr,
@@ -97,9 +86,12 @@ struct Shared {
 
 impl Shared {
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, SeqCst);
-        *self.done.lock().unwrap() = true;
-        self.done_cv.notify_all();
+        *self.shutdown.lock().unwrap() = true;
+        self.shutdown_cv.notify_all();
+    }
+
+    fn shutting_down(&self) -> bool {
+        *self.shutdown.lock().unwrap()
     }
 }
 
@@ -108,8 +100,7 @@ impl Shared {
 /// [`Handle::wait`].
 pub struct Handle {
     shared: Arc<Shared>,
-    listener: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Handle {
@@ -119,81 +110,61 @@ impl Handle {
     }
 
     /// Flip the shutdown flag and [`wait`](Handle::wait).
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.shared.begin_shutdown();
         self.join_all();
     }
 
     /// Block until a `shutdown` request (or [`Handle::shutdown`]) stops
     /// the daemon, then drain and join every thread.
-    pub fn wait(mut self) {
+    pub fn wait(self) {
         self.join_all();
     }
 
-    fn join_all(&mut self) {
+    fn join_all(self) {
         {
-            let mut done = self.shared.done.lock().unwrap();
-            while !*done {
-                done = self.shared.done_cv.wait(done).unwrap();
+            let mut down = self.shared.shutdown.lock().unwrap();
+            while !*down {
+                down = self.shared.shutdown_cv.wait(down).unwrap();
             }
         }
         // Wake the blocking accept with a throwaway connection; the
         // listener sees the flag and exits.
         let _ = TcpStream::connect(self.shared.addr);
-        if let Some(l) = self.listener.take() {
-            let _ = l.join();
-        }
-        // Connection threads first (they may still be pushing work and
-        // waiting on replies — workers are alive to serve them) …
+        let _ = self.acceptor.join();
+        // Every admitted request finishes on its connection thread.
         let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
         for c in conns {
             let _ = c.join();
         }
-        // … then close the queue so workers drain what was admitted and
-        // exit.
-        self.shared.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
-/// Bind, spawn the worker pool and acceptor, and return immediately.
+/// Bind, spawn the acceptor, and return immediately.
 pub fn start(cfg: Config) -> io::Result<Handle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
-        shutdown: AtomicBool::new(false),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-        queue: Bounded::new(cfg.queue_cap.max(1)),
-        cache: ShardedLru::new(cfg.cache_cap),
-        conns: Mutex::new(Vec::new()),
-        addr,
-    });
-
-    let n_workers = if cfg.workers == 0 {
+    let slots = if cfg.workers == 0 {
         dagsched_ws::worker_count()
     } else {
         cfg.workers
     }
     .max(1);
-    let workers = (0..n_workers)
-        .map(|i| {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&sh))
-                .expect("spawn worker")
-        })
-        .collect();
+    let shared = Arc::new(Shared {
+        shutdown: Mutex::new(false),
+        shutdown_cv: Condvar::new(),
+        gate: Gate::new(slots, cfg.queue_cap.max(1)),
+        cache: ShardedLru::new(cfg.cache_cap),
+        conns: Mutex::new(Vec::new()),
+        addr,
+    });
 
     let sh = Arc::clone(&shared);
     let acceptor = std::thread::Builder::new()
         .name("serve-accept".into())
         .spawn(move || {
             for stream in listener.incoming() {
-                if sh.shutdown.load(SeqCst) {
+                if sh.shutting_down() {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
@@ -202,19 +173,17 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
                     .name("serve-conn".into())
                     .spawn(move || conn_loop(stream, &sh2))
                     .expect("spawn conn thread");
-                sh.conns.lock().unwrap().push(h);
+                let mut conns = sh.conns.lock().unwrap();
+                conns.retain(|c| !c.is_finished());
+                conns.push(h);
             }
         })
         .expect("spawn acceptor");
 
-    Ok(Handle {
-        shared,
-        listener: Some(acceptor),
-        workers,
-    })
+    Ok(Handle { shared, acceptor })
 }
 
-/// One connection: read frames, admit requests, relay responses.
+/// One connection: read frames, schedule requests, write responses.
 fn conn_loop(mut stream: TcpStream, sh: &Shared) {
     let _ = stream.set_read_timeout(Some(POLL));
     let mut reader = FrameReader::new();
@@ -223,30 +192,29 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
         match reader.poll(&mut stream) {
             Ok(Some(payload)) => {
                 grace = MID_FRAME_GRACE;
-                match parse_request(&payload) {
+                let resp = match parse_request(&payload) {
                     Ok(Request::Shutdown) => {
                         let _ = write_frame(&mut stream, proto::BYE);
                         sh.begin_shutdown();
                         // Keep serving frames the peer already sent; the
                         // next idle poll at a boundary ends the loop.
+                        continue;
                     }
                     Ok(Request::Schedule {
                         wire,
                         platform,
                         algo,
                         graph,
-                    }) => {
-                        let resp = admit(sh, wire, platform, algo, graph);
-                        if write_frame(&mut stream, &resp).is_err() {
-                            return;
-                        }
-                    }
+                    }) => admit(&sh.gate, || {
+                        process_request(sh, wire, &platform, &algo, &graph)
+                    }),
                     Err(e) => {
                         global().incr(Metric::ServeErrors);
-                        if write_frame(&mut stream, &encode_err(&e)).is_err() {
-                            return;
-                        }
+                        encode_err(&e)
                     }
+                };
+                if write_frame(&mut stream, &resp).is_err() {
+                    return;
                 }
             }
             // Clean EOF at a frame boundary: peer is done.
@@ -263,7 +231,7 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
                 return;
             }
             Err(FrameError::Idle { mid_frame }) => {
-                if sh.shutdown.load(SeqCst) {
+                if sh.shutting_down() {
                     if !mid_frame {
                         return;
                     }
@@ -278,71 +246,43 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
     }
 }
 
-/// Try to enqueue a request and wait for its response bytes. A full
-/// queue is an immediate structured reject — backpressure, not latency.
-fn admit(sh: &Shared, wire: GraphWire, platform: String, algo: String, graph: Vec<u8>) -> Vec<u8> {
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        wire,
-        platform,
-        algo,
-        graph,
-        reply: tx,
+/// Run `work` in a gate slot and return its response bytes. A full line
+/// is an immediate structured reject — backpressure, not latency. A panic
+/// in `work` costs this request only: it is answered `E_INTERNAL`, and
+/// the permit's `Drop` releases the slot on unwind.
+fn admit(gate: &Gate, work: impl FnOnce() -> Result<Vec<u8>, ServeError>) -> Vec<u8> {
+    let Some((permit, depth)) = gate.enter() else {
+        global().incr(Metric::ServeQueueRejects);
+        global().incr(Metric::ServeErrors);
+        return encode_err(
+            &ServeError::new(code::QUEUE_FULL, "request queue is full").retry_after(RETRY_AFTER_MS),
+        );
     };
-    match sh.queue.try_push(job) {
-        Ok(depth) => {
-            global().incr(Metric::ServeRequests);
-            global().hist(HistId::ServeQueueDepth).record(depth as u64);
-            match rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => {
-                    global().incr(Metric::ServeErrors);
-                    encode_err(&ServeError::new(
-                        code::INTERNAL,
-                        "worker dropped the request",
-                    ))
-                }
-            }
-        }
-        Err(PushError::Full) => {
-            global().incr(Metric::ServeQueueRejects);
-            global().incr(Metric::ServeErrors);
-            encode_err(
-                &ServeError::new(code::QUEUE_FULL, "request queue is full")
-                    .retry_after(RETRY_AFTER_MS),
-            )
-        }
-        Err(PushError::Closed) => {
-            global().incr(Metric::ServeErrors);
-            encode_err(&ServeError::new(
-                code::SHUTTING_DOWN,
-                "daemon is shutting down",
-            ))
-        }
-    }
-}
-
-fn worker_loop(sh: &Shared) {
-    while let Some(job) = sh.queue.pop() {
-        let resp = match process_job(sh, &job) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                global().incr(Metric::ServeErrors);
-                encode_err(&e)
-            }
-        };
-        // A send failure means the connection thread gave up; the
-        // schedule (and its cache entry) is still valid work.
-        let _ = job.reply.send(resp);
-    }
+    global().incr(Metric::ServeRequests);
+    global().hist(HistId::ServeQueueDepth).record(depth as u64);
+    catch_unwind(AssertUnwindSafe(move || {
+        let _permit = permit;
+        work()
+    }))
+    .unwrap_or_else(|_| Err(ServeError::new(code::INTERNAL, "scheduler panicked")))
+    .unwrap_or_else(|e| {
+        global().incr(Metric::ServeErrors);
+        encode_err(&e)
+    })
 }
 
 /// Decode → resolve → (cache | schedule) → render. Every failure maps to
 /// a stable machine-readable code shared with the CLI.
-fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
-    let g = match job.wire {
+fn process_request(
+    sh: &Shared,
+    wire: GraphWire,
+    platform: &str,
+    algo: &str,
+    graph: &[u8],
+) -> Result<Vec<u8>, ServeError> {
+    let g = match wire {
         GraphWire::Tgf => {
-            let text = std::str::from_utf8(&job.graph).map_err(|_| {
+            let text = std::str::from_utf8(graph).map_err(|_| {
                 ServeError::new(
                     GraphError::Parse {
                         line: 0,
@@ -355,24 +295,24 @@ fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
             from_tgf(text).map_err(|e| ServeError::new(e.code(), e.to_string()))?
         }
         GraphWire::Bin => {
-            binio::from_bin(&job.graph).map_err(|e| ServeError::new(e.code(), e.to_string()))?
+            binio::from_bin(graph).map_err(|e| ServeError::new(e.code(), e.to_string()))?
         }
     };
-    let env = Env::parse_spec(&job.platform).map_err(|e| ServeError::new(code::PLATFORM_BAD, e))?;
-    let algo = registry::lookup(&job.algo).map_err(|e| ServeError::new(e.code(), e.to_string()))?;
+    let env = Env::parse_spec(platform).map_err(|e| ServeError::new(code::PLATFORM_BAD, e))?;
+    let algo = registry::lookup(algo).map_err(|e| ServeError::new(e.code(), e.to_string()))?;
 
     // Canonical name, not the request spelling: `mcp`, `MCP`, and the
     // compose grammar with defaults spelled out all share a cache entry.
     let key = CacheKey {
         graph: binio::structural_hash(&g),
-        platform: job.platform.clone(),
+        platform: platform.to_string(),
         algo: algo.name().to_string(),
     };
     if let Some(cached) = sh.cache.get(&key) {
         return Ok(encode_ok(
             std::str::from_utf8(&cached).expect("cache holds rendered text"),
             true,
-            sh.queue.len(),
+            sh.gate.waiting(),
         ));
     }
 
@@ -383,5 +323,38 @@ fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
     let rendered = render_schedule(algo.name(), &compact, g.num_tasks());
     sh.cache
         .insert(key, Arc::new(rendered.clone().into_bytes()));
-    Ok(encode_ok(&rendered, false, sh.queue.len()))
+    Ok(encode_ok(&rendered, false, sh.gate.waiting()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{parse_response, Response};
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let handle = start(Config::default()).expect("bind");
+        for _ in 0..50 {
+            drop(TcpStream::connect(handle.addr()).expect("connect"));
+            // Let the closed connection's thread see EOF and exit.
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let held = handle.shared.conns.lock().unwrap().len();
+        assert!(held <= 5, "{held} of 50 closed connections still held");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_request_costs_one_internal_error_and_no_slot() {
+        let gate = Gate::new(1, 0);
+        let errors = global().get(Metric::ServeErrors);
+        let resp = admit(&gate, || panic!("scheduler bug"));
+        match parse_response(&resp) {
+            Ok(Response::Err { code: c, .. }) => assert_eq!(c, code::INTERNAL),
+            other => panic!("expected E_INTERNAL, got {other:?}"),
+        }
+        assert!(global().get(Metric::ServeErrors) > errors);
+        // The gate has no line, so this is refused unless the slot is free.
+        assert_eq!(admit(&gate, || Ok(b"next".to_vec())), b"next");
+    }
 }

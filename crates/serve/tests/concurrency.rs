@@ -1,6 +1,7 @@
-//! Concurrency contracts: the bounded queue delivers exactly one
-//! in-order response per request per connection, and the sharded LRU
-//! never serves bytes for the wrong key — under real thread contention.
+//! Concurrency contracts: under admission-gate backpressure the daemon
+//! delivers exactly one in-order response per request per connection,
+//! and the sharded LRU never serves bytes for the wrong key — under real
+//! thread contention.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -40,7 +41,7 @@ fn read_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Response {
 /// N client threads × M sequential requests per connection: every request
 /// gets exactly one response, in request order (checked by matching each
 /// response's makespan against that request's expected graph), even with
-/// a deliberately tiny queue forcing `E_QUEUE_FULL` retries.
+/// a deliberately tiny admission line forcing `E_QUEUE_FULL` retries.
 #[test]
 fn responses_are_exactly_once_and_in_request_order_per_connection() {
     let handle = dagsched_serve::server::start(Config {

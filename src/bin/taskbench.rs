@@ -139,7 +139,9 @@ taskbench — benchmarking task graph scheduling algorithms (Kwok & Ahmad, IPPS'
   taskbench list
   taskbench variants                         the composed-scheduler space
   taskbench serve [--addr H:P] [--workers N] [--queue-cap N] [--cache-cap N]
-            scheduling daemon; prints the bound address, runs until `shutdown`
+            scheduling daemon; prints the bound address, runs until `shutdown`.
+            --workers: requests scheduled at once (0 = TASKBENCH_THREADS or cores);
+            --queue-cap: requests that may wait before E_QUEUE_FULL
   taskbench loadgen --addr H:P [--qps Q] [--conns N] [--repeat N] [--seed S]
             [--algo NAME]... [--suite rgnos|adversarial] [--verify] [--shutdown]
             replay a graph suite against a daemon; prints a JSON report
